@@ -24,7 +24,7 @@ All suprema are discrete: they range over grid index pairs or triples.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -155,7 +155,6 @@ class Increment2:
     fn: Callable[..., np.ndarray]
     value_shape: tuple[int, ...]
     prefix: np.ndarray | None = None
-    _dense: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, i: int, j: int) -> np.ndarray:
         if not (0 <= i <= j <= self.grid.n_steps):
@@ -173,23 +172,6 @@ class Increment2:
         n = self.grid.n_steps
         i = np.arange(n + 1 - w)
         return np.asarray(self.fn(i, i + w), dtype=float)
-
-    def dense(self, cap: int = 4096) -> np.ndarray:
-        """Materialise all pairs into an array of shape (N+1, N+1, ...).
-
-        Entries with j < i are zero.  Refuses grids beyond ``cap`` steps;
-        the lazy evaluation rule is the primary representation.
-        """
-        if self.grid.n_steps > cap:
-            raise ValueError(f"dense cache refused for n_steps={self.grid.n_steps} > {cap}")
-        if self._dense is None:
-            n = self.grid.n_steps
-            out = np.zeros((n + 1, n + 1) + self.value_shape)
-            for i in range(n + 1):
-                js = np.arange(i, n + 1)
-                out[i, i:] = self.fn(i, js)
-            self._dense = out
-        return self._dense
 
 
 @dataclass

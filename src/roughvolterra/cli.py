@@ -48,6 +48,7 @@ from .algebra import Grid, Path, path_holder_norm
 from .checks import FAULT_MODES, SUITES, checks_report, run_checks
 from .coefficients import (
     Coefficient,
+    _bind_call,
     constant_coefficient,
     linear_coefficient,
     matrix_func,
@@ -58,7 +59,7 @@ from .coefficients import (
 from .rough import LevyArea, levy_lift_piecewise_linear, lift_from_subgrid
 from .signals import BUILTIN_PATHS, FbmSpec, builtin_path, generate_fbm_detailed
 from .singular import KernelSpec
-from .solver import SolverReport, VolterraProblem, solve
+from .solver import DEFAULT_MAX_ITER, SolverReport, VolterraProblem, solve
 
 __all__ = [
     "ExperimentConfig",
@@ -138,7 +139,10 @@ class ExperimentConfig:
 
         _check_keys(data["driver"], _DRIVER_KEYS, "driver")
         _check_keys(data["grid"], _GRID_KEYS, "grid")
-        _check_keys(data.get("solver", {}), _SOLVER_KEYS, "solver")
+        _check_numbers(data["grid"], ("n_steps", "horizon"), "grid.", required=True)
+        solver = data.get("solver", {})
+        _check_keys(solver, _SOLVER_KEYS, "solver")
+        _check_numbers(solver, ("max_iter",) if solver.get("tol") is None else ("tol", "max_iter"), "solver.")
         _check_keys(data.get("rate", {}), _RATE_KEYS, "rate")
         _check_keys(data.get("outputs", {}), _OUTPUT_KEYS, "outputs")
 
@@ -146,10 +150,13 @@ class ExperimentConfig:
         kind = driver.get("kind")
         if kind not in ("fbm", "builtin"):
             raise ValueError(f"driver kind must be 'fbm' or 'builtin', got {kind!r}")
+        _check_numbers(driver, ("hurst", "dim", "seed", "lift_refine"), "driver.")
         if kind == "fbm":
             for key in ("hurst", "dim", "seed"):
                 if key not in driver:
                     raise ValueError(f"fbm driver missing required key '{key}'")
+            if int(driver.get("lift_refine", 1)) < 1:
+                raise ValueError(f"driver lift_refine must be a positive integer, got {driver['lift_refine']}")
         else:
             if "name" not in driver:
                 raise ValueError("builtin driver missing required key 'name'")
@@ -162,13 +169,14 @@ class ExperimentConfig:
         if regime in ("young", "rough"):
             if "coefficient" not in data:
                 raise ValueError(f"{regime} regime config requires a 'coefficient' entry")
-            if "gamma" not in data or "kappa" not in data:
-                raise ValueError(f"{regime} regime config requires 'gamma' and 'kappa'")
+            _check_numbers(data, ("gamma", "kappa"), "", required=True)
         elif regime == "singular":
             if "kernel" not in data:
                 raise ValueError("singular regime config requires a 'kernel' entry")
-            if "gamma" not in data:
-                raise ValueError("singular regime config requires 'gamma'")
+            _check_numbers(data, ("gamma",), "", required=True)
+            # a null kappa picks the kernel's default
+            if data.get("kappa") is not None:
+                _check_numbers(data, ("kappa",), "")
         # anything else is rejected by name when the problem is built
 
         rate = data.get("rate", {})
@@ -226,6 +234,17 @@ def _check_keys(d, allowed: set, where: str) -> None:
         raise ValueError(f"unknown config key '{where}.{sorted(unknown)[0]}'")
 
 
+def _check_numbers(entry: dict, keys: tuple[str, ...], where: str, required: bool = False) -> None:
+    """Each of ``keys`` that ``entry`` holds is a number; with ``required``, it holds them all."""
+    for key in keys:
+        if key not in entry:
+            if required:
+                raise ValueError(f"config missing required key '{where}{key}'")
+            continue
+        if isinstance(entry[key], bool) or not isinstance(entry[key], (int, float)):
+            raise ValueError(f"config entry '{where}{key}' must be a number, got {json.dumps(entry[key])}")
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -244,18 +263,15 @@ def _build_coefficient(entry: dict) -> Coefficient:
     _check_keys(entry, {"family", "params"}, "coefficient")
     family = entry.get("family")
     params = dict(entry.get("params", {}))
-    if family == "constant":
-        return constant_coefficient(**params)
-    if family == "linear":
-        return linear_coefficient(**params)
-    if family == "trig":
-        return trig_coefficient(**params)
+    families = {"constant": constant_coefficient, "linear": linear_coefficient, "trig": trig_coefficient}
+    if family in families:
+        return _bind_call(families[family], params, "config entry 'coefficient.params'")
     if family == "separable":
         phi = params.pop("phi", None)
         psi = params.pop("psi", None)
         if params:
             raise ValueError(f"unknown separable coefficient key '{sorted(params)[0]}'")
-        if not isinstance(phi, dict) or not isinstance(psi, dict):
+        if not (isinstance(phi, dict) and isinstance(psi, dict) and "name" in phi and "name" in psi):
             raise ValueError("separable coefficient requires 'phi' and 'psi' objects with a 'name'")
         phi, psi = dict(phi), dict(psi)
         return separable_coefficient(
@@ -272,6 +288,7 @@ def _build_kernel(cfg: ExperimentConfig) -> KernelSpec:
     for key in ("alpha", "psi"):
         if key not in entry:
             raise ValueError(f"kernel entry missing required key '{key}'")
+    _check_numbers(entry, ("alpha",), "kernel.")
     psi = matrix_func(entry["psi"], **entry.get("psi_params", {}))
     return KernelSpec(
         alpha=float(entry["alpha"]),
@@ -281,8 +298,32 @@ def _build_kernel(cfg: ExperimentConfig) -> KernelSpec:
     )
 
 
-def _build_driver(cfg: ExperimentConfig) -> tuple[Path, LevyArea | None, dict]:
-    """Driver path, its lift when the regime needs one, and the rng record."""
+def _draw_fbm(cfg: ExperimentConfig, n_steps: int, **record) -> tuple[Path, dict]:
+    """The config's fbm driver sampled on ``n_steps`` cells of its horizon, with its rng record.
+
+    ``record`` entries are appended to the generator's own record.
+    """
+    d = cfg.driver
+    spec = FbmSpec(
+        hurst=float(d["hurst"]),
+        dim=int(d["dim"]),
+        grid=Grid(cfg.grid.horizon, n_steps),
+        seed=int(d["seed"]),
+        method=d.get("method", "auto"),
+    )
+    sample, meta = generate_fbm_detailed(spec)
+    return sample, {**meta, "kind": "fbm", **record}
+
+
+def _build_driver(
+    cfg: ExperimentConfig, master: tuple[Path, dict] | None = None
+) -> tuple[Path, LevyArea | None, dict]:
+    """Driver path, its lift when the regime needs one, and the rng record.
+
+    An fbm driver is restricted from ``master``, a sample on a finer grid
+    with its rng record; without one, it is drawn ``lift_refine`` times
+    finer than the config's grid.
+    """
     d = cfg.driver
     grid = cfg.grid
     needs_lift = cfg.regime == "rough" or bool(cfg.outputs.get("write_lift"))
@@ -293,30 +334,20 @@ def _build_driver(cfg: ExperimentConfig) -> tuple[Path, LevyArea | None, dict]:
         return x, lift, rng
 
     refine = int(d.get("lift_refine", 1))
-    if refine < 1:
-        raise ValueError(f"driver lift_refine must be a positive integer, got {refine}")
-    fine_grid = Grid(grid.horizon, grid.n_steps * refine)
-    spec = FbmSpec(
-        hurst=float(d["hurst"]),
-        dim=int(d["dim"]),
-        grid=fine_grid,
-        seed=int(d["seed"]),
-        method=d.get("method", "auto"),
-    )
-    fine, meta = generate_fbm_detailed(spec)
-    rng = dict(meta)
-    rng["kind"] = "fbm"
-    rng["lift_refine"] = refine
+    fine, rng = master or _draw_fbm(cfg, grid.n_steps * refine, lift_refine=refine)
+    factor = fine.grid.n_steps // grid.n_steps
     if needs_lift:
-        x, lift = lift_from_subgrid(fine, refine)
+        x, lift = lift_from_subgrid(fine, factor)
     else:
-        x, lift = fine.restrict(refine), None
+        x, lift = fine.restrict(factor), None
     return x, lift, rng
 
 
-def build_problem(cfg: ExperimentConfig) -> tuple[VolterraProblem, dict]:
-    """Construct the Volterra problem an experiment config describes."""
-    x, lift, rng = _build_driver(cfg)
+def build_problem(
+    cfg: ExperimentConfig, master: tuple[Path, dict] | None = None
+) -> tuple[VolterraProblem, dict]:
+    """Construct the Volterra problem an experiment config describes (see `_build_driver`)."""
+    x, lift, rng = _build_driver(cfg, master)
     a = np.atleast_1d(np.asarray(cfg.raw["a"], dtype=float))
     meta = {k: rng[k] for k in ("hurst", "seed", "method") if k in rng}
     if cfg.regime == "singular":
@@ -442,8 +473,6 @@ def cmd_gen(args) -> int:
     _driver_csv(f"{prefix}_driver.csv", x)
     written = [f"{prefix}_driver.csv"]
     if cfg.outputs.get("write_lift"):
-        if lift is None:
-            lift = levy_lift_piecewise_linear(x)
         _lift_csv(f"{prefix}_lift.csv", lift)
         written.append(f"{prefix}_lift.csv")
     echo = cfg.to_dict()
@@ -459,13 +488,8 @@ def cmd_solve(args) -> int:
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     problem, rng = build_problem(cfg)
-    solver_opts = cfg.raw.get("solver", {})
     started = time.perf_counter()
-    report = solve(
-        problem,
-        tol=solver_opts.get("tol"),
-        max_iter=int(solver_opts.get("max_iter", 60)),
-    )
+    report = _solve_with_opts(cfg, problem)
     seconds = time.perf_counter() - started
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
@@ -539,61 +563,24 @@ def _solve_rate_ladder(cfg: ExperimentConfig, resolutions: list[int]):
     down, so coarser runs see the same signal; builtin drivers are
     analytic and regenerate consistently at any resolution.
     """
-    reports: list[SolverReport] = []
-    rng: dict = {}
+    master = None
     if cfg.driver["kind"] == "fbm":
-        finest = cfg.with_steps(resolutions[-1])
-        refine = int(cfg.driver.get("lift_refine", 1))
-        fine_grid = Grid(finest.grid.horizon, finest.grid.n_steps * refine)
-        spec = FbmSpec(
-            hurst=float(cfg.driver["hurst"]),
-            dim=int(cfg.driver["dim"]),
-            grid=fine_grid,
-            seed=int(cfg.driver["seed"]),
-            method=cfg.driver.get("method", "auto"),
-        )
-        master, meta = generate_fbm_detailed(spec)
-        rng = dict(meta)
-        rng["kind"] = "fbm"
-        rng["master_n_steps"] = fine_grid.n_steps
-        driver_meta = {k: rng[k] for k in ("hurst", "seed", "method")}
-        for n in resolutions:
-            sub = cfg.with_steps(n)
-            factor = fine_grid.n_steps // n
-            if sub.regime == "rough":
-                x, lift = lift_from_subgrid(master, factor)
-            else:
-                x, lift = master.restrict(factor), None
-            a = np.atleast_1d(np.asarray(sub.raw["a"], dtype=float))
-            if sub.regime == "singular":
-                problem = VolterraProblem("singular", a, _build_kernel(sub), x, driver_meta=driver_meta)
-            else:
-                problem = VolterraProblem(
-                    sub.regime,
-                    a,
-                    _build_coefficient(sub.raw["coefficient"]),
-                    x,
-                    gamma=float(sub.raw["gamma"]),
-                    kappa=float(sub.raw["kappa"]),
-                    lift=lift,
-                    driver_meta=driver_meta,
-                )
-            reports.append(_solve_with_opts(sub, problem))
-            if not reports[-1].converged:
-                break
-    else:
-        for n in resolutions:
-            sub = cfg.with_steps(n)
-            problem, rng = build_problem(sub)
-            reports.append(_solve_with_opts(sub, problem))
-            if not reports[-1].converged:
-                break
+        n_master = resolutions[-1] * int(cfg.driver.get("lift_refine", 1))
+        master = _draw_fbm(cfg, n_master, master_n_steps=n_master)
+    reports: list[SolverReport] = []
+    for n in resolutions:
+        sub = cfg.with_steps(n)
+        # builtin drivers keep the one-argument call that wrappers of build_problem(cfg) expect
+        problem, rng = build_problem(sub) if master is None else build_problem(sub, master)
+        reports.append(_solve_with_opts(sub, problem))
+        if not reports[-1].converged:
+            break
     return reports, rng
 
 
 def _solve_with_opts(cfg: ExperimentConfig, problem: VolterraProblem) -> SolverReport:
     opts = cfg.raw.get("solver", {})
-    return solve(problem, tol=opts.get("tol"), max_iter=int(opts.get("max_iter", 60)))
+    return solve(problem, tol=opts.get("tol"), max_iter=int(opts.get("max_iter", DEFAULT_MAX_ITER)))
 
 
 def cmd_rate(args) -> int:

@@ -14,11 +14,11 @@ over the inner-time axis, which is what keeps the Picard sweeps cheap.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+import inspect
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "Coefficient",
@@ -61,18 +61,25 @@ class MatrixFunc:
 
 def scalar_func(name: str, **params) -> ScalarFunc:
     """Look up a scalar-function family by name ('one', 'linear', 'exp_decay', 'cos')."""
-    try:
-        return SCALAR_FUNCS[name](**params)
-    except KeyError:
-        raise ValueError(f"unknown scalar function family '{name}'") from None
+    if name not in SCALAR_FUNCS:
+        raise ValueError(f"unknown scalar function family '{name}'")
+    return _bind_call(SCALAR_FUNCS[name], params, f"scalar function '{name}'")
 
 
 def matrix_func(name: str, **params) -> MatrixFunc:
     """Look up a state-map family by name ('ones', 'identity', 'sin_plus', 'cos')."""
+    if name not in MATRIX_FUNCS:
+        raise ValueError(f"unknown state-map family '{name}'")
+    return _bind_call(MATRIX_FUNCS[name], params, f"state map '{name}'")
+
+
+def _bind_call(fn: Callable, params: dict, what: str):
+    """fn(**params); parameter names that fn does not take, or lacks, raise ValueError naming ``what``."""
     try:
-        return MATRIX_FUNCS[name](**params)
-    except KeyError:
-        raise ValueError(f"unknown state-map family '{name}'") from None
+        inspect.signature(fn).bind(**params)
+    except TypeError as e:
+        raise ValueError(f"{what}: {e}") from None
+    return fn(**params)
 
 
 def _one(**_):
@@ -184,7 +191,6 @@ class Coefficient:
     eval_many: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     d3_many: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     name: str = "custom"
-    bounds: dict = field(default_factory=dict)
     probe_box: tuple = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
     validate: InitVar[bool] = True
 
@@ -207,8 +213,7 @@ class Coefficient:
             self.check_derivatives()
 
     def _probes(self, n_probes: int) -> np.ndarray:
-        sampler = qmc.Halton(d=2 + self.d_dim, scramble=False)
-        unit = sampler.random(n_probes)
+        unit = _halton(n_probes, 2 + self.d_dim)
         (t_lo, t_hi), (u_lo, u_hi), (y_lo, y_hi) = self.probe_box
         pts = np.empty_like(unit)
         pts[:, 0] = t_lo + (t_hi - t_lo) * unit[:, 0]
@@ -248,6 +253,28 @@ class Coefficient:
         return np.stack([self.eval(float(t), float(t), y) for t, y in zip(ts, ys)])
 
 
+def _halton(n_points: int, dim: int) -> np.ndarray:
+    """The first ``n_points`` unscrambled Halton points in [0, 1)^dim, index 0 first.
+
+    Coordinate k is the radical inverse of the point index in the k-th
+    prime base.
+    """
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < dim:
+        if all(candidate % q for q in primes):
+            primes.append(candidate)
+        candidate += 1
+    out = np.zeros((n_points, dim))
+    for k, base in enumerate(primes):
+        index, scale = np.arange(n_points), 1.0 / base
+        while index.any():
+            index, digit = np.divmod(index, base)
+            out[:, k] += digit * scale
+            scale /= base
+    return out
+
+
 def _promote_matrix(value, d_dim: int, n_dim: int) -> np.ndarray:
     out = np.asarray(value, dtype=float)
     if out.ndim == 0:
@@ -278,7 +305,6 @@ def constant_coefficient(value, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
         eval_many=eval_many,
         d3_many=d3_many,
         name="constant",
-        bounds={"sup": float(np.linalg.norm(c))},
     )
 
 
@@ -396,5 +422,4 @@ def trig_coefficient(
         eval_many=eval_many,
         d3_many=d3_many,
         name="trig",
-        bounds={"sup": float(np.max(np.abs(amp_m)))},
     )

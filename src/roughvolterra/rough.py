@@ -48,6 +48,7 @@ __all__ = [
     "controlled_compose",
     "volterra_remainder_rough",
     "rough_germ",
+    "rough_row_sum",
 ]
 
 
@@ -252,6 +253,25 @@ def rough_integral(z: ControlledPath, x: Path, xx: LevyArea, i: int, j: int) -> 
     cells = np.einsum("kdn,kn->kd", zv[:-1], dx) + np.einsum("kdba,kab->kd", zpv[:-1], xx.adjacent)
     prefix = _cell_prefix(cells)
     return prefix[j] - prefix[i]
+
+
+def rough_row_sum(
+    sigma: Coefficient, times: np.ndarray, dx: np.ndarray, adj: np.ndarray,
+    y: np.ndarray, yp: np.ndarray, m: int, lo: int, hi: int,
+) -> np.ndarray:
+    """Sum over cells l in [lo, hi) of the second-order germ frozen at t_m, shape (d,).
+
+    Cell l contributes sigma(t_m, t_l, y_l) dx_l plus the chain-rule
+    derivative D_y sigma(t_m, t_l, y_l) . y'_l against the lift cell
+    ``adj[l]``.
+    """
+    if hi <= lo:
+        return np.zeros(sigma.d_dim)
+    t_m = float(times[m])
+    rows = sigma.eval_many(t_m, times[lo:hi], y[lo:hi])
+    jacs = sigma.d3_many(t_m, times[lo:hi], y[lo:hi])
+    zp = np.einsum("ldnc,lca->ldna", jacs, yp[lo:hi])
+    return np.einsum("ldn,ln->d", rows, dx[lo:hi]) + np.einsum("ldba,lab->d", zp, adj[lo:hi])
 
 
 def controlled_compose(sigma: Coefficient, t: float, y: ControlledPath) -> ControlledPath:

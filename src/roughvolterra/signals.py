@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .algebra import Grid, Path
 
@@ -92,8 +91,9 @@ def fgn_autocovariance(lag: np.ndarray, hurst: float) -> np.ndarray:
 
 
 def _fgn_unit_cholesky_factor(hurst: float, n: int) -> np.ndarray:
-    r = fgn_autocovariance(np.arange(n), hurst)
-    return np.linalg.cholesky(toeplitz(r))
+    lags = np.arange(n)
+    r = fgn_autocovariance(lags, hurst)
+    return np.linalg.cholesky(r[np.abs(lags[:, None] - lags[None, :])])
 
 
 def _fgn_unit_circulant(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray | None:

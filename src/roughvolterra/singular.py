@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Path
+from .algebra import Path, _is_power_of_two
 from .coefficients import MatrixFunc
 
 __all__ = [
@@ -28,14 +28,11 @@ __all__ = [
     "singular_integral_diag",
     "singular_integral_offdiag",
     "singular_increment",
+    "singular_row_sum",
 ]
 
 # below this fraction of the horizon, powers are evaluated in log space
 TINY_INTERVAL_FRACTION = 1e-8
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,20 @@ def kernel_increment(t: float, s: float, u: float, alpha: float) -> float:
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return float((t - u) ** -alpha - (s - u) ** -alpha)
+
+
+def singular_row_sum(
+    k: KernelSpec, times: np.ndarray, dx: np.ndarray, y: np.ndarray, m: int, lo: int, hi: int
+) -> np.ndarray:
+    """Sum over cells l in [lo, hi) of (t_m - t_l)^(-alpha) psi(y_l) dx_l, shape (d,).
+
+    Every cell starts at least one grid step before t_m, so the weights
+    are finite plain powers.
+    """
+    if hi <= lo:
+        return np.zeros(k.d_dim)
+    weights = (times[m] - times[lo:hi]) ** -k.alpha
+    return np.einsum("l,ldn,ln->d", weights, k.psi.value(y[lo:hi]), dx[lo:hi])
 
 
 def _check_paths(k: KernelSpec, y: Path, x: Path) -> None:

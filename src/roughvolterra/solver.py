@@ -33,8 +33,9 @@ import numpy as np
 
 from .algebra import Grid, Path
 from .coefficients import Coefficient
-from .rough import LevyArea
-from .singular import KernelSpec
+from .rough import LevyArea, rough_row_sum
+from .singular import KernelSpec, singular_row_sum
+from .young import young_row_sum
 
 __all__ = [
     "VolterraProblem",
@@ -256,133 +257,72 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
     return best
 
 
-def _default_tol(p: VolterraProblem) -> float:
-    if p.driver_meta and "hurst" in p.driver_meta:
-        return DEFAULT_TOL_FBM
-    return DEFAULT_TOL_SMOOTH
-
-
 # ---------------------------------------------------------------------------
-# Regime-specific Picard maps.  Each factory returns (history, sweep):
-#   history(start, end, y, yp) precomputes, for every target index m in
-#     (start, end], the contribution of the frozen cells [0, start] at the
-#     frozen outer time t_m (these do not move during the window);
-#   sweep(y, yp, start, end, hist) applies one Picard update in place of
-#     the window values and returns (new_y, new_yp).
-# Cell l of the discrete operator reads the state at the cell's left
-# point, so cells with l <= start are frozen once the solution is accepted
-# up to start.
+# One windowed core for all three regimes.  The discrete map is
+#   (Gamma y)_m = a + sum over cells l < m of the regime's germ at outer time t_m,
+# and only the germ differs between regimes: each regime module supplies it
+# as a row sum over cells [lo, hi) frozen at t_m.  Cell l reads the state at
+# its left point, so once the solution is accepted up to `start` the cells
+# l <= start no longer move: a window sums them once (its history) and each
+# sweep adds the moving cells (start, m).
 # ---------------------------------------------------------------------------
 
 
-def _young_maps(p: VolterraProblem):
-    sigma = p.coefficient
-    times = p.grid.times
-    dx = p.driver.cells()
-    a = p.a
-
-    def row_sum(m: int, lo: int, hi: int, y: np.ndarray) -> np.ndarray:
-        if hi <= lo:
-            return np.zeros_like(a)
-        rows = sigma.eval_many(float(times[m]), times[lo:hi], y[lo:hi])
-        return np.einsum("ldn,ln->d", rows, dx[lo:hi])
-
-    def history(start, end, y, yp):
-        return np.stack([row_sum(m, 0, min(start + 1, m), y) for m in range(start + 1, end + 1)])
-
-    def sweep(y, yp, start, end, hist):
-        out = y.copy()
-        for idx, m in enumerate(range(start + 1, end + 1)):
-            out[m] = a + hist[idx] + row_sum(m, start + 1, m, y)
-        return out, yp
-
-    return history, sweep
-
-
-def _singular_maps(p: VolterraProblem):
-    kernel = p.coefficient
-    times = p.grid.times
-    dx = p.driver.cells()
-    a = p.a
-
-    def row_sum(m: int, lo: int, hi: int, y: np.ndarray) -> np.ndarray:
-        if hi <= lo:
-            return np.zeros_like(a)
-        weights = (times[m] - times[lo:hi]) ** -kernel.alpha
-        psi = kernel.psi.value(y[lo:hi])
-        return np.einsum("l,ldn,ln->d", weights, psi, dx[lo:hi])
-
-    def history(start, end, y, yp):
-        return np.stack([row_sum(m, 0, min(start + 1, m), y) for m in range(start + 1, end + 1)])
-
-    def sweep(y, yp, start, end, hist):
-        out = y.copy()
-        for idx, m in enumerate(range(start + 1, end + 1)):
-            out[m] = a + hist[idx] + row_sum(m, start + 1, m, y)
-        return out, yp
-
-    return history, sweep
-
-
-def _rough_maps(p: VolterraProblem):
-    sigma = p.coefficient
-    times = p.grid.times
-    dx = p.driver.cells()
+def _row_sum(p: VolterraProblem):
+    """The regime's row sum as rows(m, lo, hi, y, yp) -> (d,)."""
+    coeff, times, dx = p.coefficient, p.grid.times, p.driver.cells()
+    if p.regime == "young":
+        return lambda m, lo, hi, y, yp: young_row_sum(coeff, times, dx, y, m, lo, hi)
+    if p.regime == "singular":
+        return lambda m, lo, hi, y, yp: singular_row_sum(coeff, times, dx, y, m, lo, hi)
     adj = p.lift.adjacent
-    a = p.a
-
-    def row_sum(m: int, lo: int, hi: int, y: np.ndarray, yp: np.ndarray) -> np.ndarray:
-        # second-order compensated cells: sigma row against the driver
-        # increment plus the chain-rule derivative against the lift cell
-        if hi <= lo:
-            return np.zeros_like(a)
-        t_m = float(times[m])
-        rows = sigma.eval_many(t_m, times[lo:hi], y[lo:hi])
-        jacs = sigma.d3_many(t_m, times[lo:hi], y[lo:hi])
-        zp = np.einsum("ldnc,lca->ldna", jacs, yp[lo:hi])
-        return np.einsum("ldn,ln->d", rows, dx[lo:hi]) + np.einsum("ldba,lab->d", zp, adj[lo:hi])
-
-    def history(start, end, y, yp):
-        return np.stack(
-            [row_sum(m, 0, min(start + 1, m), y, yp) for m in range(start + 1, end + 1)]
-        )
-
-    def sweep(y, yp, start, end, hist):
-        out = y.copy()
-        for idx, m in enumerate(range(start + 1, end + 1)):
-            out[m] = a + hist[idx] + row_sum(m, start + 1, m, y, yp)
-        new_yp = yp.copy()
-        new_yp[start + 1 : end + 1] = sigma.diagonal_many(
-            times[start + 1 : end + 1], out[start + 1 : end + 1]
-        )
-        return out, new_yp
-
-    return history, sweep
+    return lambda m, lo, hi, y, yp: rough_row_sum(coeff, times, dx, adj, y, yp, m, lo, hi)
 
 
-def _run_windowed(
+def solve(
     p: VolterraProblem,
-    tol: float,
-    max_iter: int,
-    maps,
+    tol: float | None = None,
+    max_iter: int = DEFAULT_MAX_ITER,
     initial_window: int | None = None,
     initial_guess: np.ndarray | None = None,
 ) -> SolverReport:
+    """Fixed point of the problem's Picard map, window by window.
+
+    ``tol`` defaults by driver (`DEFAULT_TOL_FBM` for fBm, otherwise
+    `DEFAULT_TOL_SMOOTH`); ``initial_window`` defaults to a quarter of the
+    grid; ``initial_guess`` replaces the constant start of the first window.
+    """
+    if tol is None:
+        tol = DEFAULT_TOL_FBM if p.driver_meta and "hurst" in p.driver_meta else DEFAULT_TOL_SMOOTH
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    history, sweep = maps(p)
+    rows = _row_sum(p)
     grid = p.grid
     n = grid.n_steps
     times = grid.times
     norm_exponent = p.kappa if p.regime == "singular" else p.gamma
 
+    def refreshed(yp, y, lo, hi):
+        # the rough germ reads y' = sigma(t, t, y) beside y; other regimes carry None
+        if yp is None:
+            return None
+        out = yp.copy()
+        out[lo:hi] = p.coefficient.diagonal_many(times[lo:hi], y[lo:hi])
+        return out
+
+    def history(start, end, y, yp):
+        return np.stack([rows(m, 0, start + 1, y, yp) for m in range(start + 1, end + 1)])
+
+    def sweep(y, yp, start, end, hist):
+        out = y.copy()
+        for idx, m in enumerate(range(start + 1, end + 1)):
+            out[m] = p.a + hist[idx] + rows(m, start + 1, m, y, yp)
+        return out, refreshed(yp, out, start + 1, end + 1)
+
     y = np.tile(p.a, (n + 1, 1))
-    if p.regime == "rough":
-        yp = p.coefficient.diagonal_many(times, y)
-    else:
-        yp = None
+    yp = refreshed(np.empty((n + 1, p.d_dim, p.n_dim)), y, 0, n + 1) if p.regime == "rough" else None
 
     if initial_guess is not None:
         initial_guess = np.asarray(initial_guess, dtype=float)
@@ -397,28 +337,19 @@ def _run_windowed(
     if not (1 <= window <= n):
         raise ValueError(f"initial window must lie in [1, {n}] cells, got {window}")
     cap = max(n // 2, 1)
-    converged = True
-    first_window_end: int | None = None
-    first_attempt = True
 
     while start < n:
         end = min(start + window, n)
         hist = history(start, end, y, yp)
         y_try = y.copy()
-        if first_attempt and initial_guess is not None:
+        if initial_guess is not None:  # the first attempt only
             y_try[start + 1 : end + 1] = initial_guess[start + 1 : end + 1]
+            initial_guess = None
         else:
             y_try[start + 1 : end + 1] = y[start]
-        first_attempt = False
-        yp_try = yp
-        if yp is not None:
-            yp_try = yp.copy()
-            yp_try[start + 1 : end + 1] = p.coefficient.diagonal_many(
-                times[start + 1 : end + 1], y_try[start + 1 : end + 1]
-            )
+        yp_try = refreshed(yp, y_try, start + 1, end + 1)
         residuals: list[float] = []
         ok = False
-        iterations = 0
         for iterations in range(1, max_iter + 1):
             y_next, yp_next = sweep(y_try, yp_try, start, end, hist)
             res = float(np.max(np.abs(y_next[start : end + 1] - y_try[start : end + 1])))
@@ -429,46 +360,29 @@ def _run_windowed(
             if res < tol:
                 ok = True
                 break
-        holder_res = _segment_holder(
-            times, y_try - y, start, end, norm_exponent
-        )
+        if not ok and window > 1:
+            window = window // 2
+            continue
+        holder_res = _segment_holder(times, y_try - y, start, end, norm_exponent)
         if ok:
             y, yp = y_try, yp_try
-            windows.append(
-                WindowRecord(
-                    start=start,
-                    end=end,
-                    t_start=float(times[start]),
-                    t_end=float(times[end]),
-                    converged=True,
-                    iterations=iterations,
-                    residuals=tuple(residuals),
-                    holder_norm=_segment_holder(times, y, start, end, norm_exponent),
-                    holder_residual=holder_res,
-                )
+        windows.append(
+            WindowRecord(
+                start=start,
+                end=end,
+                t_start=float(times[start]),
+                t_end=float(times[end]),
+                converged=ok,
+                iterations=iterations,
+                residuals=tuple(residuals),
+                holder_norm=_segment_holder(times, y, start, end, norm_exponent),
+                holder_residual=holder_res,
             )
-            if first_window_end is None:
-                first_window_end = end
-            start = end
-            window = min(max(int(window * 1.5), 1), cap)
-        elif window > 1:
-            window = window // 2
-        else:
-            converged = False
-            windows.append(
-                WindowRecord(
-                    start=start,
-                    end=end,
-                    t_start=float(times[start]),
-                    t_end=float(times[end]),
-                    converged=False,
-                    iterations=iterations,
-                    residuals=tuple(residuals),
-                    holder_norm=_segment_holder(times, y, start, end, norm_exponent),
-                    holder_residual=holder_res,
-                )
-            )
+        )
+        if not ok:
             break
+        start = end
+        window = min(max(int(window * 1.5), 1), cap)
 
     solved_steps = start
     # tail past the solved horizon: constant extension, not solution values
@@ -477,95 +391,50 @@ def _run_windowed(
         yp[solved_steps + 1 :] = yp[solved_steps]
 
     if p.regime == "rough":
-        proven = float(times[first_window_end]) if first_window_end is not None else 0.0
-        heuristic = solved_steps > (first_window_end or 0)
+        first_end = windows[0].end if windows[0].converged else 0
+        proven = float(times[first_end])
+        heuristic = solved_steps > first_end
     else:
         proven = float(times[solved_steps])
         heuristic = False
 
-    cfg = p.config()
-    cfg["tolerance"] = tol
-    cfg["max_iter"] = max_iter
     return SolverReport(
         regime=p.regime,
         solution=Path(grid, y),
         yprime=Path(grid, yp) if yp is not None else None,
         windows=tuple(windows),
-        converged=converged,
+        converged=solved_steps == n,
         t_solved=float(times[solved_steps]),
         solved_steps=solved_steps,
         tolerance=tol,
         max_iter=max_iter,
         proven_horizon=proven,
         extension_heuristic=heuristic,
-        config=cfg,
+        config={**p.config(), "tolerance": tol, "max_iter": max_iter},
     )
 
 
-def solve_young(
-    p: VolterraProblem,
-    tol: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    initial_window: int | None = None,
-    initial_guess: np.ndarray | None = None,
-) -> SolverReport:
-    """First-order regime: drivers above Hölder exponent 1/2."""
-    if p.regime != "young":
-        raise ValueError(f"solve_young got a problem of regime '{p.regime}'")
-    return _run_windowed(
-        p, tol if tol is not None else _default_tol(p), max_iter, _young_maps,
-        initial_window=initial_window, initial_guess=initial_guess,
-    )
+def _of_regime(p: VolterraProblem, regime: str) -> VolterraProblem:
+    if p.regime != regime:
+        raise ValueError(f"solve_{regime} got a problem of regime '{p.regime}'")
+    return p
 
 
-def solve_singular(
-    p: VolterraProblem,
-    tol: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    initial_window: int | None = None,
-    initial_guess: np.ndarray | None = None,
-) -> SolverReport:
-    """Weakly singular kernel (t - u)^(-alpha) psi(y) against the driver."""
-    if p.regime != "singular":
-        raise ValueError(f"solve_singular got a problem of regime '{p.regime}'")
-    return _run_windowed(
-        p, tol if tol is not None else _default_tol(p), max_iter, _singular_maps,
-        initial_window=initial_window, initial_guess=initial_guess,
-    )
+def solve_young(p: VolterraProblem, **opts) -> SolverReport:
+    """`solve` for the first-order regime: drivers above Hölder exponent 1/2."""
+    return solve(_of_regime(p, "young"), **opts)
 
 
-def solve_rough(
-    p: VolterraProblem,
-    tol: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    initial_window: int | None = None,
-    initial_guess: np.ndarray | None = None,
-) -> SolverReport:
-    """Second-order regime via the driver's Lévy-area lift; local contract.
+def solve_singular(p: VolterraProblem, **opts) -> SolverReport:
+    """`solve` for the weakly singular kernel (t - u)^(-alpha) psi(y) against the driver."""
+    return solve(_of_regime(p, "singular"), **opts)
+
+
+def solve_rough(p: VolterraProblem, **opts) -> SolverReport:
+    """`solve` for the second-order regime via the driver's Lévy-area lift; local contract.
 
     Continuation past the first window is heuristic (flagged in the
     report); stopping early with a partial horizon is a legitimate
     outcome for this regime.
     """
-    if p.regime != "rough":
-        raise ValueError(f"solve_rough got a problem of regime '{p.regime}'")
-    return _run_windowed(
-        p, tol if tol is not None else _default_tol(p), max_iter, _rough_maps,
-        initial_window=initial_window, initial_guess=initial_guess,
-    )
-
-
-_SOLVERS = {"young": solve_young, "singular": solve_singular, "rough": solve_rough}
-
-
-def solve(
-    p: VolterraProblem,
-    tol: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    initial_window: int | None = None,
-    initial_guess: np.ndarray | None = None,
-) -> SolverReport:
-    """Dispatch to the regime's solver."""
-    return _SOLVERS[p.regime](
-        p, tol=tol, max_iter=max_iter, initial_window=initial_window, initial_guess=initial_guess
-    )
+    return solve(_of_regime(p, "rough"), **opts)

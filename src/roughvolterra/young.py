@@ -30,6 +30,7 @@ __all__ = [
     "young_germ",
     "young_integral",
     "compose_coeff",
+    "young_row_sum",
     "volterra_increment_young",
 ]
 
@@ -145,6 +146,20 @@ def compose_coeff(
     return YoungIntegrand(composed, rho, empirical)
 
 
+def young_row_sum(
+    sigma: Coefficient, times: np.ndarray, dx: np.ndarray, y: np.ndarray, m: int, lo: int, hi: int
+) -> np.ndarray:
+    """Sum over cells l in [lo, hi) of sigma(t_m, t_l, y_l) dx_l, shape (d,).
+
+    The first-order germ frozen at outer time t_m; ``dx`` holds the
+    driver's cell increments and ``y`` the state samples.
+    """
+    if hi <= lo:
+        return np.zeros(sigma.d_dim)
+    rows = sigma.eval_many(float(times[m]), times[lo:hi], y[lo:hi])
+    return np.einsum("ldn,ln->d", rows, dx[lo:hi])
+
+
 def volterra_increment_young(
     sigma: Coefficient,
     y: Path,
@@ -169,18 +184,9 @@ def volterra_increment_young(
     n = x.grid.n_steps
     if not (0 <= i <= j <= n):
         raise ValueError(f"index pair ({i}, {j}) outside 0 <= i <= j <= {n}")
-    t = x.grid.times
-    dx = x.cells()
-    d = sigma.d_dim
-    recent = np.zeros(d)
-    if j > i:
-        sig = sigma.eval_many(float(t[j]), t[i:j], y.values[i:j])
-        recent = np.einsum("ldn,ln->d", sig, dx[i:j])
-    past = np.zeros(d)
-    if i > 0:
-        sig_t = sigma.eval_many(float(t[j]), t[:i], y.values[:i])
-        sig_s = sigma.eval_many(float(t[i]), t[:i], y.values[:i])
-        past = np.einsum("ldn,ln->d", sig_t - sig_s, dx[:i])
+    t, dx, yv = x.grid.times, x.cells(), y.values
+    recent = young_row_sum(sigma, t, dx, yv, j, i, j)
+    past = young_row_sum(sigma, t, dx, yv, j, 0, i) - young_row_sum(sigma, t, dx, yv, i, 0, i)
     if return_parts:
         return recent, past
     return recent + past

@@ -390,21 +390,6 @@ class TestIncrementPlumbing:
         with pytest.raises(ValueError):
             inc(5, 3)
 
-    def test_dense_cap(self):
-        g = Grid(1.0, 8192)
-        p = Path(g, np.zeros((8193, 1)))
-        with pytest.raises(ValueError):
-            delta1(p).dense(cap=4096)
-
-    def test_dense_matches_lazy(self):
-        g = Grid(1.0, 8)
-        p = scalar_path(g, np.exp)
-        inc = delta1(p)
-        d = inc.dense()
-        for i in range(9):
-            for j in range(i, 9):
-                assert d[i, j, 0] == inc(i, j)[0]
-
     def test_sup_norm(self):
         g = Grid(1.0, 4)
         p = Path(g, np.array([[0.0], [1.0], [-3.0], [2.0], [0.5]]))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -67,6 +68,24 @@ def fbm_young_config(n_steps: int = 256) -> dict:
             "params": {"phi": {"name": "one"}, "psi": {"name": "sin_plus", "shift": 2.0}},
         },
         "outputs": {"prefix": "fbmy"},
+    }
+
+
+def fbm_rough_config(n_steps: int = 128) -> dict:
+    """Trig sigma against 2-D fBm lifted from a twice finer grid."""
+    return {
+        "version": 1,
+        "regime": "rough",
+        "a": 0.5,
+        "driver": {"kind": "fbm", "hurst": 0.4, "dim": 2, "seed": 99, "lift_refine": 2},
+        "grid": {"n_steps": n_steps, "horizon": 1.0},
+        "gamma": 0.38,
+        "kappa": 0.7,
+        "coefficient": {
+            "family": "trig",
+            "params": {"amp": 0.5, "t_freq": 1.0, "u_freq": 0.5, "d_dim": 1, "n_dim": 2},
+        },
+        "outputs": {"prefix": "fbmr"},
     }
 
 
@@ -180,6 +199,27 @@ class TestConfig:
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 4
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d.update(gamma=None), "'gamma'"),
+            (lambda d: d["grid"].pop("horizon"), "'grid.horizon'"),
+            (lambda d: d["coefficient"]["params"].update(frequency=2.0), "'frequency'"),
+            (lambda d: d["coefficient"].update(family="separable", params={"phi": {}, "psi": {"name": "ones"}}), "'phi'"),
+            (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": "exp_decay", "speed": 1.0}, "psi": {"name": "ones"}}), "'speed'"),
+            (lambda d: d.update(solver={"max_iter": None}), "'solver.max_iter'"),
+        ],
+        ids=["gamma-null", "grid-without-horizon", "unknown-trig-param", "phi-without-name", "unknown-phi-param", "max-iter-null"],
+    )
+    def test_malformed_config_exits_invalid_naming_the_field(self, tmp_path, capsys, edit, named):
+        data = exp_sine_config(n_steps=64)
+        data["coefficient"] = {"family": "trig", "params": {"amp": 1.0}}
+        edit(data)
+        code = main(["solve", "--config", write_config(tmp_path, data), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ") and named in err
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +339,19 @@ class TestSolve:
         table = load_csv(tmp_path / "expsine_solution.csv")
         assert np.isfinite(table).all()
 
-    def test_byte_identical_reproduction(self, tmp_path):
-        cfg = write_config(tmp_path, fbm_young_config())
+    @pytest.mark.parametrize(
+        "make", [fbm_young_config, singular_config, fbm_rough_config], ids=["young", "singular", "rough"]
+    )
+    def test_byte_identical_reproduction(self, tmp_path, make):
+        data = make()
+        prefix = data["outputs"]["prefix"]
+        cfg = write_config(tmp_path, data)
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["solve", "--config", cfg, "--out", str(a)]) == EXIT_OK
         assert main(["solve", "--config", cfg, "--out", str(b)]) == EXIT_OK
-        assert (a / "fbmy_solution.csv").read_bytes() == (b / "fbmy_solution.csv").read_bytes()
-        ra = json.loads((a / "fbmy_report.json").read_text())
-        rb = json.loads((b / "fbmy_report.json").read_text())
+        assert (a / f"{prefix}_solution.csv").read_bytes() == (b / f"{prefix}_solution.csv").read_bytes()
+        ra = json.loads((a / f"{prefix}_report.json").read_text())
+        rb = json.loads((b / f"{prefix}_report.json").read_text())
         ra.pop("timing"), rb.pop("timing")
         assert json.dumps(ra) == json.dumps(rb)
 
@@ -424,3 +469,14 @@ class TestCheck:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
+    import roughvolterra
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roughvolterra.__file__)))
+    code = "import sys, roughvolterra.cli; print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Coefficient families: closed-form values, derivative probing, batching."""
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from roughvolterra.coefficients import (
     Coefficient,
@@ -91,10 +92,15 @@ class TestDerivativeProbe:
         assert c.eval(2.0, 0.0, np.zeros(1))[0, 0] == 4.0
 
     def test_probe_points_are_deterministic(self):
-        c = constant_coefficient(1.0)
-        p1 = c._probes(16)
-        p2 = c._probes(16)
-        assert np.array_equal(p1, p2)
+        # unscrambled Halton points, bit for bit, mapped into the probe box
+        for d_dim in (1, 2, 3):
+            c = constant_coefficient(1.0, d_dim=d_dim)
+            p1 = c._probes(16)
+            p2 = c._probes(16)
+            assert np.array_equal(p1, p2)
+            unit = qmc.Halton(d=2 + d_dim, scramble=False).random(16)
+            want = np.concatenate([unit[:, :2], -1.0 + 2.0 * unit[:, 2:]], axis=1)
+            assert np.array_equal(p1, want)
 
 
 class TestConstant:

@@ -24,10 +24,16 @@ from roughvolterra.coefficients import (
     matrix_func,
     scalar_func,
     separable_coefficient,
+    trig_coefficient,
 )
-from roughvolterra.rough import levy_lift_piecewise_linear, lift_from_subgrid
+from roughvolterra.rough import (
+    ControlledPath,
+    levy_lift_piecewise_linear,
+    lift_from_subgrid,
+    volterra_remainder_rough,
+)
 from roughvolterra.signals import FbmSpec, generate_fbm
-from roughvolterra.singular import KernelSpec
+from roughvolterra.singular import KernelSpec, singular_increment
 from roughvolterra.solver import (
     DEFAULT_TOL_FBM,
     DEFAULT_TOL_SMOOTH,
@@ -41,6 +47,7 @@ from roughvolterra.solver import (
     solve_young,
     validate_problem,
 )
+from roughvolterra.young import volterra_increment_young
 
 
 def linear_driver(n: int, horizon: float = 1.0) -> Path:
@@ -514,6 +521,45 @@ class TestContinuationMechanics:
 # ---------------------------------------------------------------------------
 # Reports and dispatch
 # ---------------------------------------------------------------------------
+
+
+class TestOperatorEquation:
+    """A converged solve satisfies its regime module's equation y_m - a = I(0, m).
+
+    The solver sums the regime's row sums and the operator modules build
+    the same integrals their own way, so agreement to the stopping
+    tolerance ties the solver's arithmetic to the operator tests.
+    """
+
+    def test_young(self):
+        sigma = separable_coefficient(scalar_func("exp_decay", rate=1.0), matrix_func("sin_plus", shift=2.0))
+        p = VolterraProblem("young", 1.0, sigma, sine_driver(256), gamma=0.75, kappa=0.9)
+        rep = solve(p)
+        assert rep.converged
+        for m in (1, 37, 64, 200, 256):
+            want = volterra_increment_young(sigma, rep.solution, p.driver, 0, m)
+            assert np.abs(rep.solution.values[m] - p.a - want).max() <= rep.tolerance  # measured 5e-13
+
+    def test_singular(self):
+        k = KernelSpec(alpha=0.25, psi=matrix_func("sin_plus", shift=1.0), gamma=1.0)
+        p = VolterraProblem("singular", 0.5, k, sine_driver(256))
+        rep = solve(p)
+        assert rep.converged
+        for m in (1, 2, 16, 128, 256):  # the dyadic operator needs m a power of two
+            want = singular_increment(k, rep.solution, p.driver, 0, m)
+            assert np.abs(rep.solution.values[m] - p.a - want).max() <= rep.tolerance  # measured 2e-12
+
+    def test_rough(self):
+        fine = generate_fbm(FbmSpec(hurst=0.4, dim=2, grid=Grid(1.0, 256), seed=99))
+        x, xx = lift_from_subgrid(fine, 2)
+        sigma = trig_coefficient(amp=0.5, t_freq=1.0, u_freq=0.5, d_dim=1, n_dim=2)
+        p = VolterraProblem("rough", 0.5, sigma, x, gamma=0.38, kappa=0.7, lift=xx)
+        rep = solve(p)
+        assert rep.converged
+        y = ControlledPath(x, rep.solution, rep.yprime, gamma=0.38, eta=0.76)
+        for m in (1, 37, 64, 100, 128):
+            want = volterra_remainder_rough(sigma, y, x, xx, 0, m)
+            assert np.abs(rep.solution.values[m] - p.a - want).max() <= rep.tolerance  # measured 7e-13
 
 
 class TestReports:
