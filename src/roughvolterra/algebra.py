@@ -85,11 +85,6 @@ class Grid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    def refine(self, factor: int) -> "Grid":
-        if not _is_power_of_two(factor):
-            raise ValueError(f"refinement factor must be a power of two, got {factor}")
-        return Grid(self.horizon, self.n_steps * factor)
-
 
 @dataclass(frozen=True)
 class Path:
@@ -166,12 +161,6 @@ class Increment2:
         n = self.grid.n_steps
         k = np.arange(n)
         return np.asarray(self.fn(k, k + 1), dtype=float)
-
-    def lag(self, w: int) -> np.ndarray:
-        """Values on all pairs (i, i + w), shape (n_steps + 1 - w, ...)."""
-        n = self.grid.n_steps
-        i = np.arange(n + 1 - w)
-        return np.asarray(self.fn(i, i + w), dtype=float)
 
 
 @dataclass

@@ -1,16 +1,22 @@
-"""Coefficient fields sigma(t, u, y) and their derivative data.
+"""Coefficient fields sigma(t, u, y) and their state derivative.
 
 A coefficient maps (outer time t, inner time u, state y in R^d) to a d x n
-matrix that multiplies driver increments.  Solvers and integral operators
-need first derivatives in each slot; the state derivative additionally
-feeds the controlled-path composition rules.  Supplied derivatives are
-cross-checked against central finite differences at quasi-random probe
-points when the coefficient is constructed, so a typo in an analytic
-derivative fails fast rather than corrupting a long solve.
+matrix that multiplies driver increments.  The solvers read two things of
+it: sigma itself and, in the rough regime, the state derivative D_y sigma
+that feeds the controlled composition D_y sigma . y'.  Both are given as
+one batched formula each,
+
+    eval_many(t, us, ys) -> (m, d, n)      d3_many(t, us, ys) -> (m, d, n, d)
+
+over inner times ``us`` (m,) and states ``ys`` (m, d), where the outer
+time ``t`` is one float or an (m,) array matched with ``us``.  A custom
+sigma supplies exactly this pair.  The state derivative is cross-checked
+against central finite differences at quasi-random probe points when the
+coefficient is constructed, so a typo in an analytic derivative fails
+fast rather than corrupting a long solve.
 
 Built-in families: constant, linear in the state, separable
-phi(t - u) * psi(y), and trigonometric.  All built-ins evaluate vectorised
-over the inner-time axis, which is what keeps the Picard sweeps cheap.
+phi(t - u) * psi(y), and trigonometric.
 """
 from __future__ import annotations
 
@@ -37,11 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarFunc:
-    """A smooth scalar function of one variable with its derivative."""
+    """A smooth scalar function of one variable, applied elementwise."""
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -82,28 +87,43 @@ def _bind_call(fn: Callable, params: dict, what: str):
     return fn(**params)
 
 
-def _one(**_):
-    return ScalarFunc("one", lambda v: np.ones_like(np.asarray(v, dtype=float)), lambda v: np.zeros_like(np.asarray(v, dtype=float)))
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array; non-numeric or non-finite entries raise ValueError naming ``name``."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"coefficient parameter '{name}' must be numeric, got {value!r}") from None
+    if not np.isfinite(out).all():
+        raise ValueError(f"coefficient parameter '{name}' must be finite, got {value!r}")
+    return out
 
 
-def _linear(**_):
-    return ScalarFunc("linear", lambda v: np.asarray(v, dtype=float), lambda v: np.ones_like(np.asarray(v, dtype=float)))
+def _promote(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a finite array of ``shape``; a scalar fills it."""
+    out = _finite(value, name)
+    if out.ndim == 0:
+        out = np.full(shape, float(out))
+    if out.shape != shape:
+        raise ValueError(f"expected a {shape} array for '{name}', got shape {out.shape}")
+    return out
+
+
+def _one():
+    return ScalarFunc("one", lambda v: np.ones_like(np.asarray(v, dtype=float)))
+
+
+def _linear():
+    return ScalarFunc("linear", lambda v: np.asarray(v, dtype=float))
 
 
 def _exp_decay(rate: float = 1.0):
-    return ScalarFunc(
-        f"exp_decay({rate})",
-        lambda v: np.exp(-rate * np.asarray(v, dtype=float)),
-        lambda v: -rate * np.exp(-rate * np.asarray(v, dtype=float)),
-    )
+    _finite(rate, "rate")
+    return ScalarFunc(f"exp_decay({rate})", lambda v: np.exp(-rate * np.asarray(v, dtype=float)))
 
 
 def _cos(freq: float = 1.0):
-    return ScalarFunc(
-        f"cos({freq})",
-        lambda v: np.cos(freq * np.asarray(v, dtype=float)),
-        lambda v: -freq * np.sin(freq * np.asarray(v, dtype=float)),
-    )
+    _finite(freq, "freq")
+    return ScalarFunc(f"cos({freq})", lambda v: np.cos(freq * np.asarray(v, dtype=float)))
 
 
 SCALAR_FUNCS = {"one": _one, "linear": _linear, "exp_decay": _exp_decay, "cos": _cos}
@@ -142,6 +162,8 @@ def _identity_map(d_dim: int = 1):
 
 
 def _sin_plus_map(shift: float = 0.0):
+    _finite(shift, "shift")
+
     def value(y):
         y = np.asarray(y, dtype=float)
         return (np.sin(y[..., 0]) + shift)[..., None, None]
@@ -153,7 +175,7 @@ def _sin_plus_map(shift: float = 0.0):
     return MatrixFunc(f"sin_plus({shift})", 1, 1, value, jac)
 
 
-def _cos_map(**_):
+def _cos_map():
     def value(y):
         y = np.asarray(y, dtype=float)
         return np.cos(y[..., 0])[..., None, None]
@@ -170,13 +192,12 @@ MATRIX_FUNCS = {"ones": _ones_map, "identity": _identity_map, "sin_plus": _sin_p
 
 @dataclass
 class Coefficient:
-    """sigma(t, u, y) -> d x n matrix with analytic slot derivatives.
+    """sigma(t, u, y) -> d x n matrix, with its state derivative, batched.
 
-    ``d1``, ``d2`` differentiate in the two time slots and return (d, n);
-    ``d3`` differentiates in the state and returns (d, n, d) with the state
-    component on the last axis.  ``eval_many``/``d3_many`` evaluate one
-    outer time against arrays of inner times (m,) and states (m, d); when
-    not supplied, a loop fallback is installed (correct but slow).
+    ``eval_many(t, us, ys)`` returns (m, d, n) and ``d3_many(t, us, ys)``
+    the state derivative (m, d, n, d), state component on the last axis,
+    for inner times ``us`` (m,) and states ``ys`` (m, d).  The outer time
+    ``t`` is one float or an (m,) array matched with ``us``.
 
     Construction runs a central-difference consistency probe over
     ``probe_box`` unless ``validate=False``; see `check_derivatives`.
@@ -184,33 +205,27 @@ class Coefficient:
 
     d_dim: int
     n_dim: int
-    eval: Callable[[float, float, np.ndarray], np.ndarray]
-    d1: Callable[[float, float, np.ndarray], np.ndarray]
-    d2: Callable[[float, float, np.ndarray], np.ndarray]
-    d3: Callable[[float, float, np.ndarray], np.ndarray]
-    eval_many: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
-    d3_many: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
+    eval_many: Callable[[float | np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    d3_many: Callable[[float | np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     name: str = "custom"
     probe_box: tuple = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
-        if self.eval_many is None:
-            ev = self.eval
-
-            def eval_many(t, us, ys):
-                return np.stack([ev(t, float(u), y) for u, y in zip(us, ys)])
-
-            self.eval_many = eval_many
-        if self.d3_many is None:
-            d3 = self.d3
-
-            def d3_many(t, us, ys):
-                return np.stack([d3(t, float(u), y) for u, y in zip(us, ys)])
-
-            self.d3_many = d3_many
         if validate:
             self.check_derivatives()
+
+    def eval(self, t: float, u: float, y: np.ndarray) -> np.ndarray:
+        """sigma(t, u, y) at one point, shape (d, n)."""
+        return self.eval_many(t, np.array([u], dtype=float), np.asarray(y, dtype=float)[None])[0]
+
+    def d3(self, t: float, u: float, y: np.ndarray) -> np.ndarray:
+        """D_y sigma(t, u, y) at one point, shape (d, n, d)."""
+        return self.d3_many(t, np.array([u], dtype=float), np.asarray(y, dtype=float)[None])[0]
+
+    def diagonal_many(self, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """sigma(t, t, y) on matched arrays of times (m,) and states (m, d), shape (m, d, n)."""
+        return self.eval_many(ts, ts, ys)
 
     def _probes(self, n_probes: int) -> np.ndarray:
         unit = _halton(n_probes, 2 + self.d_dim)
@@ -222,35 +237,29 @@ class Coefficient:
         return pts
 
     def check_derivatives(self, step: float = 1e-5, rtol: float = 1e-3, n_probes: int = 16) -> None:
-        """Probe supplied derivatives against central differences.
+        """Probe ``d3_many`` against central differences of ``eval_many``.
 
-        Uses a deterministic quasi-random point set inside ``probe_box``.
-        Raises ValueError naming the slot on the first inconsistency.
+        Uses a deterministic quasi-random point set inside ``probe_box``,
+        evaluated in one batch per state component.  Raises ValueError
+        naming the first probe point (t, u) that disagrees.
         """
         pts = self._probes(n_probes)
-        scale = 1.0
-        for p in pts:
-            scale = max(scale, float(np.max(np.abs(self.eval(p[0], p[1], p[2:])))))
-        atol = 1e-6 * scale
-        for p in pts:
-            t, u, y = float(p[0]), float(p[1]), p[2:]
-            fd1 = (self.eval(t + step, u, y) - self.eval(t - step, u, y)) / (2 * step)
-            if not np.allclose(self.d1(t, u, y), fd1, rtol=rtol, atol=atol):
-                raise ValueError(f"coefficient '{self.name}': d1 disagrees with finite differences at {(t, u)}")
-            fd2 = (self.eval(t, u + step, y) - self.eval(t, u - step, y)) / (2 * step)
-            if not np.allclose(self.d2(t, u, y), fd2, rtol=rtol, atol=atol):
-                raise ValueError(f"coefficient '{self.name}': d2 disagrees with finite differences at {(t, u)}")
-            fd3 = np.empty((self.d_dim, self.n_dim, self.d_dim))
-            for c in range(self.d_dim):
-                dy = np.zeros(self.d_dim)
-                dy[c] = step
-                fd3[:, :, c] = (self.eval(t, u, y + dy) - self.eval(t, u, y - dy)) / (2 * step)
-            if not np.allclose(self.d3(t, u, y), fd3, rtol=rtol, atol=atol):
-                raise ValueError(f"coefficient '{self.name}': d3 disagrees with finite differences at {(t, u)}")
-
-    def diagonal_many(self, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """sigma(t, t, y) on matched arrays of times and states, shape (m, d, n)."""
-        return np.stack([self.eval(float(t), float(t), y) for t, y in zip(ts, ys)])
+        t, u, y = pts[:, 0], pts[:, 1], pts[:, 2:]
+        atol = 1e-6 * max(1.0, float(np.max(np.abs(self.eval_many(t, u, y)))))
+        jac = self.d3_many(t, u, y)
+        fd = np.empty_like(jac)
+        t2, u2 = np.concatenate([t, t]), np.concatenate([u, u])
+        for c in range(self.d_dim):
+            dy = np.zeros(self.d_dim)
+            dy[c] = step
+            plus, minus = np.split(self.eval_many(t2, u2, np.concatenate([y + dy, y - dy])), 2)
+            fd[..., c] = (plus - minus) / (2 * step)
+        bad = ~np.isclose(jac, fd, rtol=rtol, atol=atol).reshape(n_probes, -1).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"coefficient '{self.name}': d3 disagrees with finite differences at {(float(t[k]), float(u[k]))}"
+            )
 
 
 def _halton(n_points: int, dim: int) -> np.ndarray:
@@ -275,19 +284,9 @@ def _halton(n_points: int, dim: int) -> np.ndarray:
     return out
 
 
-def _promote_matrix(value, d_dim: int, n_dim: int) -> np.ndarray:
-    out = np.asarray(value, dtype=float)
-    if out.ndim == 0:
-        out = np.full((d_dim, n_dim), float(out))
-    if out.shape != (d_dim, n_dim):
-        raise ValueError(f"expected a ({d_dim}, {n_dim}) matrix, got shape {out.shape}")
-    return out
-
-
 def constant_coefficient(value, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
     """sigma(t, u, y) = C."""
-    c = _promote_matrix(value, d_dim, n_dim)
-    zero = np.zeros_like(c)
+    c = _promote(value, (d_dim, n_dim), "value")
     zero3 = np.zeros(c.shape + (d_dim,))
 
     def eval_many(t, us, ys):
@@ -296,16 +295,7 @@ def constant_coefficient(value, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
     def d3_many(t, us, ys):
         return np.broadcast_to(zero3, (len(us),) + zero3.shape).copy()
 
-    return Coefficient(
-        d_dim, n_dim,
-        eval=lambda t, u, y: c,
-        d1=lambda t, u, y: zero,
-        d2=lambda t, u, y: zero,
-        d3=lambda t, u, y: zero3,
-        eval_many=eval_many,
-        d3_many=d3_many,
-        name="constant",
-    )
+    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="constant")
 
 
 def linear_coefficient(a, b=0.0, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
@@ -314,16 +304,8 @@ def linear_coefficient(a, b=0.0, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
     Scalars are promoted: for d = n = 1, ``linear_coefficient(1.0)`` is the
     plain sigma = y.
     """
-    a_t = np.asarray(a, dtype=float)
-    if a_t.ndim == 0:
-        a_t = np.full((d_dim, n_dim, d_dim), float(a_t))
-    if a_t.shape != (d_dim, n_dim, d_dim):
-        raise ValueError(f"expected A of shape ({d_dim}, {n_dim}, {d_dim}), got {a_t.shape}")
-    b_m = _promote_matrix(b, d_dim, n_dim)
-    zero = np.zeros((d_dim, n_dim))
-
-    def ev(t, u, y):
-        return np.einsum("dnc,c->dn", a_t, np.asarray(y, dtype=float)) + b_m
+    a_t = _promote(a, (d_dim, n_dim, d_dim), "a")
+    b_m = _promote(b, (d_dim, n_dim), "b")
 
     def eval_many(t, us, ys):
         return np.einsum("dnc,mc->mdn", a_t, np.asarray(ys, dtype=float)) + b_m
@@ -331,30 +313,11 @@ def linear_coefficient(a, b=0.0, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
     def d3_many(t, us, ys):
         return np.broadcast_to(a_t, (len(us),) + a_t.shape).copy()
 
-    return Coefficient(
-        d_dim, n_dim,
-        eval=ev,
-        d1=lambda t, u, y: zero,
-        d2=lambda t, u, y: zero,
-        d3=lambda t, u, y: a_t,
-        eval_many=eval_many,
-        d3_many=d3_many,
-        name="linear",
-    )
+    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="linear")
 
 
 def separable_coefficient(phi: ScalarFunc, psi: MatrixFunc) -> Coefficient:
     """sigma(t, u, y) = phi(t - u) * psi(y)."""
-    d_dim, n_dim = psi.d_dim, psi.n_dim
-
-    def ev(t, u, y):
-        return float(phi.f(t - u)) * psi.value(y)
-
-    def d1(t, u, y):
-        return float(phi.df(t - u)) * psi.value(y)
-
-    def d3(t, u, y):
-        return float(phi.f(t - u)) * psi.jac(y)
 
     def eval_many(t, us, ys):
         w = np.asarray(phi.f(t - np.asarray(us, dtype=float)))
@@ -364,16 +327,7 @@ def separable_coefficient(phi: ScalarFunc, psi: MatrixFunc) -> Coefficient:
         w = np.asarray(phi.f(t - np.asarray(us, dtype=float)))
         return w[:, None, None, None] * psi.jac(np.asarray(ys, dtype=float))
 
-    return Coefficient(
-        d_dim, n_dim,
-        eval=ev,
-        d1=d1,
-        d2=lambda t, u, y: -d1(t, u, y),
-        d3=d3,
-        eval_many=eval_many,
-        d3_many=d3_many,
-        name=f"separable({phi.name},{psi.name})",
-    )
+    return Coefficient(psi.d_dim, psi.n_dim, eval_many, d3_many, name=f"separable({phi.name},{psi.name})")
 
 
 def trig_coefficient(
@@ -386,40 +340,22 @@ def trig_coefficient(
     n_dim: int = 1,
 ) -> Coefficient:
     """sigma[a, b](t, u, y) = amp[a, b] * sin(p t + q u + r . y + phase[a, b])."""
-    amp_m = _promote_matrix(amp, d_dim, n_dim)
-    phase_m = _promote_matrix(phase, d_dim, n_dim)
-    r = np.asarray(y_weights, dtype=float)
-    if r.ndim == 0:
-        r = np.full(d_dim, float(r))
-    if r.shape != (d_dim,):
-        raise ValueError(f"expected y_weights of shape ({d_dim},), got {r.shape}")
+    amp_m = _promote(amp, (d_dim, n_dim), "amp")
+    phase_m = _promote(phase, (d_dim, n_dim), "phase")
+    r = _promote(y_weights, (d_dim,), "y_weights")
+    _finite(t_freq, "t_freq")
+    _finite(u_freq, "u_freq")
 
-    def angle(t, u, y):
-        return t_freq * t + u_freq * u + np.asarray(y, dtype=float) @ r + phase_m
-
-    def ev(t, u, y):
-        return amp_m * np.sin(angle(t, u, y))
-
-    def d3(t, u, y):
-        return (amp_m * np.cos(angle(t, u, y)))[:, :, None] * r
+    def angle(t, us, ys):
+        if isinstance(t, np.ndarray):
+            t = t[:, None, None]
+        us = np.asarray(us, dtype=float)
+        return t_freq * t + u_freq * us[:, None, None] + np.vecdot(np.asarray(ys, dtype=float), r)[:, None, None] + phase_m
 
     def eval_many(t, us, ys):
-        us = np.asarray(us, dtype=float)
-        a = t_freq * t + u_freq * us[:, None, None] + (np.asarray(ys, dtype=float) @ r)[:, None, None] + phase_m
-        return amp_m * np.sin(a)
+        return amp_m * np.sin(angle(t, us, ys))
 
     def d3_many(t, us, ys):
-        us = np.asarray(us, dtype=float)
-        a = t_freq * t + u_freq * us[:, None, None] + (np.asarray(ys, dtype=float) @ r)[:, None, None] + phase_m
-        return (amp_m * np.cos(a))[:, :, :, None] * r
+        return (amp_m * np.cos(angle(t, us, ys)))[:, :, :, None] * r
 
-    return Coefficient(
-        d_dim, n_dim,
-        eval=ev,
-        d1=lambda t, u, y: t_freq * amp_m * np.cos(angle(t, u, y)),
-        d2=lambda t, u, y: u_freq * amp_m * np.cos(angle(t, u, y)),
-        d3=d3,
-        eval_many=eval_many,
-        d3_many=d3_many,
-        name="trig",
-    )
+    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="trig")

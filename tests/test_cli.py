@@ -209,8 +209,16 @@ class TestConfig:
             (lambda d: d["coefficient"].update(family="separable", params={"phi": {}, "psi": {"name": "ones"}}), "'phi'"),
             (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": "exp_decay", "speed": 1.0}, "psi": {"name": "ones"}}), "'speed'"),
             (lambda d: d.update(solver={"max_iter": None}), "'solver.max_iter'"),
+            (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": "one", "rate": 5}, "psi": {"name": "ones"}}), "'rate'"),
+            (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": "one"}, "psi": {"name": "cos", "shift": 1}}), "'shift'"),
+            (lambda d: d["coefficient"]["params"].update(amp=None), "'amp'"),
+            (lambda d: d["coefficient"]["params"].update(t_freq=None), "'t_freq'"),
+            (lambda d: d["coefficient"].update(family="constant", params={"value": float("inf")}), "'value'"),
         ],
-        ids=["gamma-null", "grid-without-horizon", "unknown-trig-param", "phi-without-name", "unknown-phi-param", "max-iter-null"],
+        ids=[
+            "gamma-null", "grid-without-horizon", "unknown-trig-param", "phi-without-name", "unknown-phi-param",
+            "max-iter-null", "one-with-rate", "cos-with-shift", "amp-null", "t-freq-null", "value-infinity",
+        ],
     )
     def test_malformed_config_exits_invalid_naming_the_field(self, tmp_path, capsys, edit, named):
         data = exp_sine_config(n_steps=64)

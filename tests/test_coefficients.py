@@ -20,7 +20,6 @@ class TestRegistries:
     def test_scalar_lookup(self):
         f = scalar_func("exp_decay", rate=2.0)
         assert f.f(0.5) == pytest.approx(np.exp(-1.0))
-        assert f.df(0.5) == pytest.approx(-2.0 * np.exp(-1.0))
 
     def test_unknown_scalar_name(self):
         with pytest.raises(ValueError, match="unknown scalar function"):
@@ -56,40 +55,26 @@ class TestRegistries:
             assert np.array_equal(batched[k], m.value(y))
 
 
+def sin_of_state(t, us, ys):
+    """sigma(t, u, y) = sin(y) for d = n = 1, batched."""
+    return np.sin(ys)[:, :, None]
+
+
+def wrong_sin_jacobian(t, us, ys):
+    return np.ones((len(us), 1, 1, 1))  # should be cos(y)
+
+
 class TestDerivativeProbe:
     def test_bad_state_derivative_is_caught(self):
-        with pytest.raises(ValueError, match="d3 disagrees"):
-            Coefficient(
-                1, 1,
-                eval=lambda t, u, y: np.array([[np.sin(y[0])]]),
-                d1=lambda t, u, y: np.zeros((1, 1)),
-                d2=lambda t, u, y: np.zeros((1, 1)),
-                d3=lambda t, u, y: np.array([[[1.0]]]),  # should be cos(y)
-                name="broken",
-            )
-
-    def test_bad_time_derivative_is_caught(self):
-        with pytest.raises(ValueError, match="d1 disagrees"):
-            Coefficient(
-                1, 1,
-                eval=lambda t, u, y: np.array([[t * t]]),
-                d1=lambda t, u, y: np.array([[t]]),  # should be 2t
-                d2=lambda t, u, y: np.zeros((1, 1)),
-                d3=lambda t, u, y: np.zeros((1, 1, 1)),
-                name="broken",
-            )
+        # the first probe point, (t, u) = (0, 0), already disagrees; plain floats in the message
+        with pytest.raises(ValueError, match=r"^coefficient 'broken': d3 disagrees with finite differences at \(0\.0, 0\.0\)$"):
+            Coefficient(1, 1, eval_many=sin_of_state, d3_many=wrong_sin_jacobian, name="broken")
 
     def test_validate_false_skips_probe(self):
-        c = Coefficient(
-            1, 1,
-            eval=lambda t, u, y: np.array([[t * t]]),
-            d1=lambda t, u, y: np.array([[t]]),  # wrong on purpose
-            d2=lambda t, u, y: np.zeros((1, 1)),
-            d3=lambda t, u, y: np.zeros((1, 1, 1)),
-            name="unchecked",
-            validate=False,
-        )
-        assert c.eval(2.0, 0.0, np.zeros(1))[0, 0] == 4.0
+        c = Coefficient(1, 1, eval_many=sin_of_state, d3_many=wrong_sin_jacobian, name="unchecked", validate=False)
+        assert c.eval(2.0, 0.0, np.array([0.5]))[0, 0] == np.sin(0.5)
+        with pytest.raises(ValueError, match="d3 disagrees"):
+            c.check_derivatives()
 
     def test_probe_points_are_deterministic(self):
         # unscrambled Halton points, bit for bit, mapped into the probe box
@@ -108,7 +93,6 @@ class TestConstant:
         c = constant_coefficient([[2.0, -1.0]], d_dim=1, n_dim=2)
         y = np.array([0.7])
         assert np.array_equal(c.eval(0.1, 0.2, y), [[2.0, -1.0]])
-        assert np.array_equal(c.d1(0.1, 0.2, y), np.zeros((1, 2)))
         assert np.array_equal(c.d3(0.1, 0.2, y), np.zeros((1, 2, 1)))
 
     def test_scalar_promotion(self):
@@ -143,7 +127,7 @@ class TestLinear:
         us = np.linspace(0, 1, 5)
         batched = c.eval_many(0.5, us, ys)
         for k in range(5):
-            assert np.allclose(batched[k], c.eval(0.5, us[k], ys[k]))
+            assert np.allclose(batched[k], a @ ys[k])
 
 
 class TestSeparable:
@@ -153,19 +137,14 @@ class TestSeparable:
         want = np.exp(-1.5 * 0.5) * (np.sin(0.2) + 0.5)
         assert c.eval(t, u, y)[0, 0] == pytest.approx(want)
 
-    def test_time_slot_antisymmetry(self):
-        # sigma depends on t - u only, so the two slot derivatives are opposite
-        c = separable_coefficient(scalar_func("cos", freq=2.0), matrix_func("ones"))
-        t, u, y = 0.9, 0.4, np.array([0.0])
-        assert np.allclose(c.d1(t, u, y), -c.d2(t, u, y))
-
     def test_d3_many_matches_loop(self):
         c = separable_coefficient(scalar_func("linear"), matrix_func("sin_plus", shift=2.0))
         us = np.linspace(0.0, 0.9, 7)
         ys = np.sin(np.linspace(0, 3, 7)).reshape(7, 1)
         batched = c.d3_many(1.0, us, ys)
         for k in range(7):
-            assert np.allclose(batched[k], c.d3(1.0, us[k], ys[k]))
+            # d/dy [(1 - u) (sin y + 2)] = (1 - u) cos y
+            assert np.allclose(batched[k], (1.0 - us[k]) * np.cos(ys[k, 0]))
 
 
 class TestTrig:
@@ -195,24 +174,58 @@ class TestTrig:
         ys = np.cos(np.linspace(0, 2, 9)).reshape(9, 1)
         batched = c.eval_many(0.7, us, ys)
         for k in range(9):
-            assert np.allclose(batched[k], c.eval(0.7, us[k], ys[k]))
+            assert np.allclose(batched[k], 1.3 * np.sin(0.9 * 0.7 + 0.2 * us[k] + 1.1 * ys[k, 0] + 0.3))
+
+
+LIN_A = np.arange(12, dtype=float).reshape(2, 3, 2) / 11.0 - 0.5
+LIN_B = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+TRIG_AMP = np.array([[1.0, -0.5, 2.0], [0.3, 1.5, -1.0]])
+TRIG_PHASE = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+
+# (builder, closed-form numpy oracle of eval_many), each with a 2-D state
+FAMILIES = [
+    pytest.param(
+        lambda: constant_coefficient(LIN_B, d_dim=2, n_dim=3),
+        lambda t, us, ys: np.broadcast_to(LIN_B, (len(us), 2, 3)),
+        id="constant",
+    ),
+    pytest.param(
+        lambda: linear_coefficient(LIN_A, b=LIN_B, d_dim=2, n_dim=3),
+        lambda t, us, ys: LIN_A[None, :, :, 0] * ys[:, None, None, 0] + LIN_A[None, :, :, 1] * ys[:, None, None, 1] + LIN_B,
+        id="linear",
+    ),
+    pytest.param(
+        lambda: separable_coefficient(scalar_func("cos", freq=2.0), matrix_func("identity", d_dim=2)),
+        lambda t, us, ys: np.cos(2.0 * (t - us))[:, None, None] * ys[:, :, None] * np.eye(2),
+        id="separable",
+    ),
+    pytest.param(
+        lambda: trig_coefficient(
+            amp=TRIG_AMP, t_freq=0.7, u_freq=-0.4, y_weights=[0.3, -0.5], phase=TRIG_PHASE, d_dim=2, n_dim=3
+        ),
+        lambda t, us, ys: TRIG_AMP * np.sin(
+            (0.7 * t - 0.4 * us + 0.3 * ys[:, 0] - 0.5 * ys[:, 1])[:, None, None] + TRIG_PHASE
+        ),
+        id="trig",
+    ),
+]
 
 
 class TestBatchingFallbacks:
-    def test_loop_fallback_installed(self):
-        c = Coefficient(
-            1, 1,
-            eval=lambda t, u, y: np.array([[u * y[0]]]),
-            d1=lambda t, u, y: np.zeros((1, 1)),
-            d2=lambda t, u, y: np.array([[y[0]]]),
-            d3=lambda t, u, y: np.array([[[u]]]),
-            name="bilinear",
-        )
-        us = np.array([0.1, 0.5, 0.9])
-        ys = np.array([[1.0], [2.0], [3.0]])
-        got = c.eval_many(0.0, us, ys)
-        assert got.shape == (3, 1, 1)
-        assert np.allclose(got[:, 0, 0], us * ys[:, 0])
+    @pytest.mark.parametrize("build,oracle", FAMILIES)
+    def test_batched_formula(self, build, oracle):
+        c = build()
+        rng = np.random.default_rng(11)
+        us = np.linspace(0.0, 0.9, 7)
+        ys = rng.uniform(-1.0, 1.0, (7, c.d_dim))
+        assert np.allclose(c.eval_many(0.8, us, ys), oracle(0.8, us, ys), rtol=1e-13, atol=1e-14)
+        # the outer time as an array matched with the inner times
+        ts = np.linspace(0.1, 1.0, 7)
+        diag = c.diagonal_many(ts, ys)
+        assert np.allclose(diag, oracle(ts, ts, ys), rtol=1e-13, atol=1e-14)
+        for k in range(7):
+            assert np.array_equal(diag[k], c.eval_many(ts[k], ts[k : k + 1], ys[k : k + 1])[0])
+        c.check_derivatives()
 
     def test_diagonal_many(self):
         c = trig_coefficient(amp=1.0, t_freq=1.0, u_freq=0.5, y_weights=0.2)

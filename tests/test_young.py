@@ -185,10 +185,8 @@ class TestVolterraIncrement:
         # sigma(t,u,y) = t against x_u = u: recent = t (t - s), past = (t - s) s
         sigma = Coefficient(
             1, 1,
-            eval=lambda t, u, y: np.array([[t]]),
-            d1=lambda t, u, y: np.ones((1, 1)),
-            d2=lambda t, u, y: np.zeros((1, 1)),
-            d3=lambda t, u, y: np.zeros((1, 1, 1)),
+            eval_many=lambda t, us, ys: np.zeros((len(us), 1, 1)) + np.reshape(t, (-1, 1, 1)),
+            d3_many=lambda t, us, ys: np.zeros((len(us), 1, 1, 1)),
             name="outer-time",
         )
         x = linear_driver(64)
