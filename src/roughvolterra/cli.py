@@ -6,31 +6,36 @@ digits) and JSON with a fixed key order, so identical configs and seeds
 reproduce identical bytes — except for the wall-clock ``timing`` entry,
 which is the one intentionally non-reproducible field.
 
-Config schema::
+Config schema, kept as a table in ``_FIELDS``: ``int`` entries take JSON
+integers only, ``?`` marks an optional entry and ``|null`` one whose null
+picks the default::
 
     {
       "version": 1,
       "regime": "young" | "singular" | "rough",
       "a": number | [numbers],                  # initial value
-      "driver": {"kind": "fbm", "hurst": H, "dim": n, "seed": s,
-                 "method"?: "auto|cholesky|circulant", "lift_refine"?: r}
+      "driver": {"kind": "fbm", "hurst": H, "dim": int, "seed": int,
+                 "method"?: "auto|cholesky|circulant", "lift_refine"?: int}
               | {"kind": "builtin", "name": "linear|sine|cosine|quadratic|trig",
-                 "dim"?: n},
-      "grid": {"n_steps": N, "horizon": T},     # N a power of two
-      "gamma": g, "kappa": k,                   # regularity exponents
+                 "dim"?: int},
+      "grid": {"n_steps": int, "horizon": T},   # n_steps a power of two
+      "gamma": g, "kappa": k,                   # singular: "kappa"?: k|null
       "coefficient": {"family": "constant|linear|separable|trig",
-                      "params": {...}},         # young / rough regimes
+                      "params"?: {...}},        # young / rough regimes
       "kernel": {"alpha": a, "psi": "<matrix function>",
                  "psi_params"?: {...}},         # singular regime
-      "solver"?: {"tol": t, "max_iter": m},
-      "rate"?: {"mode": "oracle" | "self", "oracle"?: "<name>",
-                "benchmark"?: number},
-      "outputs"?: {"prefix": "experiment", "write_lift": false}
+      "solver"?: {"tol"?: t|null, "max_iter"?: int},
+      "rate"?: {"mode"?: "oracle" | "self", "oracle"?: "<name>",
+                "benchmark"?: number|null},
+      "outputs"?: {"prefix"?: "experiment", "write_lift"?: false}
     }
 
+``n_steps`` x ``lift_refine``, and for ``rate`` the same at its finest
+level, is at most ``MAX_FINE_STEPS`` = 2**20.
+
 Exit codes: 0 success; 2 invalid config or arguments (the message names
-the violated constraint); 3 solver non-convergence or failed checks
-(outputs are still written); 4 I/O failure.
+the violated constraint or config entry); 3 solver non-convergence or
+failed checks (outputs are still written); 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -86,25 +91,38 @@ CONFIG_VERSION = 1
 
 RATE_ORACLES = ("exp_of_sine", "exponential", "power_kernel", "quadratic_ramp")
 
-_TOP_KEYS = {
-    "version",
-    "regime",
-    "a",
-    "driver",
-    "grid",
-    "gamma",
-    "kappa",
-    "coefficient",
-    "kernel",
-    "solver",
-    "rate",
-    "outputs",
+MAX_FINE_STEPS = 2**20  # larger grids are refused before any array exists
+
+# JSON types of config entries: (the name a message gives it, its test).
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NUM = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_STR = ("a string", lambda v: isinstance(v, str))
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_OBJ = ("a JSON object", lambda v: isinstance(v, dict))
+_NUMS = ("a number or a list of numbers", lambda v: _NUM[1](v) or isinstance(v, list) and all(map(_NUM[1], v)))
+_REQUIRED, _NULLABLE = "required", "nullable"  # null in a nullable entry picks its default
+
+# The config format: section ("" is the top level) -> key -> (type, *flags).
+# A section's required keys are required where it is present.  Value ranges
+# are checked by the objects built from the config.
+_FIELDS = {
+    "": {
+        "version": (_INT, _REQUIRED), "regime": (_STR, _REQUIRED), "a": (_NUMS, _REQUIRED),
+        "driver": (_OBJ, _REQUIRED), "grid": (_OBJ, _REQUIRED), "gamma": (_NUM, _REQUIRED),
+        "kappa": (_NUM, _NULLABLE), "coefficient": (_OBJ,), "kernel": (_OBJ,), "solver": (_OBJ,),
+        "rate": (_OBJ,), "outputs": (_OBJ,),
+    },
+    "driver": {
+        "kind": (_STR, _REQUIRED), "hurst": (_NUM,), "dim": (_INT,), "seed": (_INT,),
+        "method": (_STR,), "lift_refine": (_INT,), "name": (_STR,),
+    },
+    "grid": {"n_steps": (_INT, _REQUIRED), "horizon": (_NUM, _REQUIRED)},
+    "coefficient": {"family": (_STR, _REQUIRED), "params": (_OBJ,)},
+    "kernel": {"alpha": (_NUM, _REQUIRED), "psi": (_STR, _REQUIRED), "psi_params": (_OBJ,)},
+    "solver": {"tol": (_NUM, _NULLABLE), "max_iter": (_INT,)},
+    "rate": {"mode": (_STR,), "oracle": (_STR,), "benchmark": (_NUM, _NULLABLE)},
+    "outputs": {"prefix": (_STR,), "write_lift": (_BOOL,)},
 }
-_DRIVER_KEYS = {"kind", "hurst", "dim", "seed", "method", "lift_refine", "name"}
-_GRID_KEYS = {"n_steps", "horizon"}
-_SOLVER_KEYS = {"tol", "max_iter"}
-_RATE_KEYS = {"mode", "oracle", "benchmark"}
-_OUTPUT_KEYS = {"prefix", "write_lift"}
 
 
 # ---------------------------------------------------------------------------
@@ -126,58 +144,36 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(data) - _TOP_KEYS
-        if unknown:
-            raise ValueError(f"unknown config key '{sorted(unknown)[0]}'")
-        for key in ("version", "regime", "a", "driver", "grid"):
-            if key not in data:
-                raise ValueError(f"config missing required key '{key}'")
+        _check_section(data, "")
         if data["version"] != CONFIG_VERSION:
             raise ValueError(
                 f"unsupported config version {data['version']!r} (this build reads version {CONFIG_VERSION})"
             )
 
-        _check_keys(data["driver"], _DRIVER_KEYS, "driver")
-        _check_keys(data["grid"], _GRID_KEYS, "grid")
-        _check_numbers(data["grid"], ("n_steps", "horizon"), "grid.", required=True)
-        solver = data.get("solver", {})
-        _check_keys(solver, _SOLVER_KEYS, "solver")
-        _check_numbers(solver, ("max_iter",) if solver.get("tol") is None else ("tol", "max_iter"), "solver.")
-        _check_keys(data.get("rate", {}), _RATE_KEYS, "rate")
-        _check_keys(data.get("outputs", {}), _OUTPUT_KEYS, "outputs")
-
         driver = data["driver"]
-        kind = driver.get("kind")
-        if kind not in ("fbm", "builtin"):
-            raise ValueError(f"driver kind must be 'fbm' or 'builtin', got {kind!r}")
-        _check_numbers(driver, ("hurst", "dim", "seed", "lift_refine"), "driver.")
-        if kind == "fbm":
-            for key in ("hurst", "dim", "seed"):
-                if key not in driver:
-                    raise ValueError(f"fbm driver missing required key '{key}'")
-            if int(driver.get("lift_refine", 1)) < 1:
-                raise ValueError(f"driver lift_refine must be a positive integer, got {driver['lift_refine']}")
-        else:
-            if "name" not in driver:
-                raise ValueError("builtin driver missing required key 'name'")
-            if driver["name"] not in BUILTIN_PATHS:
-                raise ValueError(
-                    f"unknown builtin driver '{driver['name']}' (expected one of {', '.join(BUILTIN_PATHS)})"
-                )
+        if driver["kind"] not in ("fbm", "builtin"):
+            raise ValueError(f"driver kind must be 'fbm' or 'builtin', got {driver['kind']!r}")
+        for key in ("hurst", "dim", "seed") if driver["kind"] == "fbm" else ("name",):
+            if key not in driver:
+                raise ValueError(f"{driver['kind']} driver missing required key '{key}'")
+        if driver["kind"] == "builtin" and driver["name"] not in BUILTIN_PATHS:
+            raise ValueError(
+                f"unknown builtin driver '{driver['name']}' (expected one of {', '.join(BUILTIN_PATHS)})"
+            )
+        refine = driver.get("lift_refine", 1)
+        if refine < 1:
+            raise ValueError(f"driver lift_refine must be a positive integer, got {refine}")
+        if data["grid"]["n_steps"] * refine > MAX_FINE_STEPS:
+            raise ValueError(f"config entry 'grid.n_steps' x 'driver.lift_refine' is over {MAX_FINE_STEPS} steps")
 
         regime = data["regime"]
-        if regime in ("young", "rough"):
-            if "coefficient" not in data:
-                raise ValueError(f"{regime} regime config requires a 'coefficient' entry")
-            _check_numbers(data, ("gamma", "kappa"), "", required=True)
-        elif regime == "singular":
-            if "kernel" not in data:
-                raise ValueError("singular regime config requires a 'kernel' entry")
-            _check_numbers(data, ("gamma",), "", required=True)
-            # a null kappa picks the kernel's default
-            if data.get("kappa") is not None:
-                _check_numbers(data, ("kappa",), "")
-        # anything else is rejected by name when the problem is built
+        if regime not in ("young", "singular", "rough"):
+            raise ValueError(f"unknown regime '{regime}' (expected young, singular or rough)")
+        entry = "kernel" if regime == "singular" else "coefficient"
+        if entry not in data:
+            raise ValueError(f"{regime} regime config requires a '{entry}' entry")
+        if regime != "singular" and data.get("kappa") is None:
+            raise ValueError(f"{regime} regime config requires a number for 'kappa'")
 
         rate = data.get("rate", {})
         if rate.get("mode", "self") not in ("oracle", "self"):
@@ -203,7 +199,7 @@ class ExperimentConfig:
     @property
     def grid(self) -> Grid:
         g = self.raw["grid"]
-        return Grid(float(g["horizon"]), int(g["n_steps"]))
+        return Grid(float(g["horizon"]), g["n_steps"])
 
     @property
     def outputs(self) -> dict:
@@ -226,23 +222,22 @@ class ExperimentConfig:
         return ExperimentConfig(data)
 
 
-def _check_keys(d, allowed: set, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"config entry '{where}' must be a JSON object")
-    unknown = set(d) - allowed
+def _check_section(entry: dict, section: str) -> None:
+    """Raise ValueError naming the first key of ``entry``, or of a section in it, that breaks `_FIELDS`."""
+    fields = _FIELDS[section]
+    where = f"{section}." if section else ""
+    unknown = sorted(set(entry) - set(fields))
     if unknown:
-        raise ValueError(f"unknown config key '{where}.{sorted(unknown)[0]}'")
-
-
-def _check_numbers(entry: dict, keys: tuple[str, ...], where: str, required: bool = False) -> None:
-    """Each of ``keys`` that ``entry`` holds is a number; with ``required``, it holds them all."""
-    for key in keys:
+        raise ValueError(f"unknown config key '{where}{unknown[0]}'")
+    for key, ((kind, is_kind), *flags) in fields.items():
         if key not in entry:
-            if required:
+            if _REQUIRED in flags:
                 raise ValueError(f"config missing required key '{where}{key}'")
-            continue
-        if isinstance(entry[key], bool) or not isinstance(entry[key], (int, float)):
-            raise ValueError(f"config entry '{where}{key}' must be a number, got {json.dumps(entry[key])}")
+        elif not (is_kind(entry[key]) or entry[key] is None and _NULLABLE in flags):
+            got = json.dumps(entry[key], default=repr)
+            raise ValueError(f"config entry '{where}{key}' must be {kind}, got {got}")
+        elif key in _FIELDS:
+            _check_section(entry[key], key)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -254,14 +249,18 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+def _load_config(args) -> ExperimentConfig:
+    cfg = load_config(args.config)
+    return cfg if args.seed is None else cfg.with_seed(args.seed)
+
+
 # ---------------------------------------------------------------------------
 # Builders: config -> objects
 # ---------------------------------------------------------------------------
 
 
 def _build_coefficient(entry: dict) -> Coefficient:
-    _check_keys(entry, {"family", "params"}, "coefficient")
-    family = entry.get("family")
+    family = entry["family"]
     params = dict(entry.get("params", {}))
     families = {"constant": constant_coefficient, "linear": linear_coefficient, "trig": trig_coefficient}
     if family in families:
@@ -284,11 +283,6 @@ def _build_coefficient(entry: dict) -> Coefficient:
 
 def _build_kernel(cfg: ExperimentConfig) -> KernelSpec:
     entry = cfg.raw["kernel"]
-    _check_keys(entry, {"alpha", "psi", "psi_params"}, "kernel")
-    for key in ("alpha", "psi"):
-        if key not in entry:
-            raise ValueError(f"kernel entry missing required key '{key}'")
-    _check_numbers(entry, ("alpha",), "kernel.")
     psi = matrix_func(entry["psi"], **entry.get("psi_params", {}))
     return KernelSpec(
         alpha=float(entry["alpha"]),
@@ -306,9 +300,9 @@ def _draw_fbm(cfg: ExperimentConfig, n_steps: int, **record) -> tuple[Path, dict
     d = cfg.driver
     spec = FbmSpec(
         hurst=float(d["hurst"]),
-        dim=int(d["dim"]),
+        dim=d["dim"],
         grid=Grid(cfg.grid.horizon, n_steps),
-        seed=int(d["seed"]),
+        seed=d["seed"],
         method=d.get("method", "auto"),
     )
     sample, meta = generate_fbm_detailed(spec)
@@ -328,12 +322,12 @@ def _build_driver(
     grid = cfg.grid
     needs_lift = cfg.regime == "rough" or bool(cfg.outputs.get("write_lift"))
     if d["kind"] == "builtin":
-        x = builtin_path(d["name"], grid, dim=int(d.get("dim", 1)))
+        x = builtin_path(d["name"], grid, dim=d.get("dim", 1))
         lift = levy_lift_piecewise_linear(x) if needs_lift else None
         rng = {"generator": None, "seed": None, "kind": "builtin", "name": d["name"]}
         return x, lift, rng
 
-    refine = int(d.get("lift_refine", 1))
+    refine = d.get("lift_refine", 1)
     fine, rng = master or _draw_fbm(cfg, grid.n_steps * refine, lift_refine=refine)
     factor = fine.grid.n_steps // grid.n_steps
     if needs_lift:
@@ -463,9 +457,7 @@ def _solver_report_json(
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    cfg = _load_config(args)
     x, lift, rng = _build_driver(cfg)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
@@ -484,9 +476,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    cfg = _load_config(args)
     problem, rng = build_problem(cfg)
     started = time.perf_counter()
     report = _solve_with_opts(cfg, problem)
@@ -551,11 +541,6 @@ _ORACLE_VALUES = {
 }
 
 
-def _rate_resolutions(cfg: ExperimentConfig, refinements: int) -> list[int]:
-    base = cfg.grid.n_steps
-    return [base * (1 << k) for k in range(refinements)]
-
-
 def _solve_rate_ladder(cfg: ExperimentConfig, resolutions: list[int]):
     """Solve at every resolution, sharing one fbm master sample.
 
@@ -565,7 +550,7 @@ def _solve_rate_ladder(cfg: ExperimentConfig, resolutions: list[int]):
     """
     master = None
     if cfg.driver["kind"] == "fbm":
-        n_master = resolutions[-1] * int(cfg.driver.get("lift_refine", 1))
+        n_master = resolutions[-1] * cfg.driver.get("lift_refine", 1)
         master = _draw_fbm(cfg, n_master, master_n_steps=n_master)
     reports: list[SolverReport] = []
     for n in resolutions:
@@ -580,19 +565,20 @@ def _solve_rate_ladder(cfg: ExperimentConfig, resolutions: list[int]):
 
 def _solve_with_opts(cfg: ExperimentConfig, problem: VolterraProblem) -> SolverReport:
     opts = cfg.raw.get("solver", {})
-    return solve(problem, tol=opts.get("tol"), max_iter=int(opts.get("max_iter", DEFAULT_MAX_ITER)))
+    return solve(problem, tol=opts.get("tol"), max_iter=opts.get("max_iter", DEFAULT_MAX_ITER))
 
 
 def cmd_rate(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    cfg = _load_config(args)
     refinements = args.refinements
     if refinements < 3:
         raise ValueError(f"refinements must be at least 3, got {refinements}")
+    finest = cfg.grid.n_steps * cfg.driver.get("lift_refine", 1)
+    if refinements > MAX_FINE_STEPS.bit_length() or finest << (refinements - 1) > MAX_FINE_STEPS:
+        raise ValueError(f"--refinements {refinements} takes the finest level past {MAX_FINE_STEPS} fine steps")
     rate_cfg = cfg.raw.get("rate", {})
     mode = rate_cfg.get("mode", "self")
-    resolutions = _rate_resolutions(cfg, refinements)
+    resolutions = [cfg.grid.n_steps << k for k in range(refinements)]
 
     started = time.perf_counter()
     reports, rng = _solve_rate_ladder(cfg, resolutions)

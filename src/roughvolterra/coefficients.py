@@ -64,15 +64,19 @@ class MatrixFunc:
     jac: Callable[[np.ndarray], np.ndarray]
 
 
-def scalar_func(name: str, **params) -> ScalarFunc:
+def scalar_func(name: str, /, **params) -> ScalarFunc:
     """Look up a scalar-function family by name ('one', 'linear', 'exp_decay', 'cos')."""
+    if not isinstance(name, str):
+        raise ValueError(f"scalar function name must be a string, got {name!r}")
     if name not in SCALAR_FUNCS:
         raise ValueError(f"unknown scalar function family '{name}'")
     return _bind_call(SCALAR_FUNCS[name], params, f"scalar function '{name}'")
 
 
-def matrix_func(name: str, **params) -> MatrixFunc:
+def matrix_func(name: str, /, **params) -> MatrixFunc:
     """Look up a state-map family by name ('ones', 'identity', 'sin_plus', 'cos')."""
+    if not isinstance(name, str):
+        raise ValueError(f"state map name must be a string, got {name!r}")
     if name not in MATRIX_FUNCS:
         raise ValueError(f"unknown state-map family '{name}'")
     return _bind_call(MATRIX_FUNCS[name], params, f"state map '{name}'")
@@ -87,20 +91,24 @@ def _bind_call(fn: Callable, params: dict, what: str):
     return fn(**params)
 
 
-def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array; non-numeric or non-finite entries raise ValueError naming ``name``."""
+def _dims(**dims) -> tuple[int, ...]:
+    """The dimensions ``dims`` as a shape; one that is not a positive int raises ValueError naming it."""
+    for name, value in dims.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"coefficient parameter '{name}' must be a positive integer, got {value!r}")
+    return tuple(dims.values())
+
+
+def _promote(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``, which a scalar fills; else ValueError naming ``name``."""
     try:
+        if np.asarray(value).dtype == bool:
+            raise TypeError
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"coefficient parameter '{name}' must be numeric, got {value!r}") from None
     if not np.isfinite(out).all():
         raise ValueError(f"coefficient parameter '{name}' must be finite, got {value!r}")
-    return out
-
-
-def _promote(value, shape: tuple, name: str) -> np.ndarray:
-    """``value`` as a finite array of ``shape``; a scalar fills it."""
-    out = _finite(value, name)
     if out.ndim == 0:
         out = np.full(shape, float(out))
     if out.shape != shape:
@@ -117,12 +125,12 @@ def _linear():
 
 
 def _exp_decay(rate: float = 1.0):
-    _finite(rate, "rate")
+    rate = _promote(rate, (), "rate")
     return ScalarFunc(f"exp_decay({rate})", lambda v: np.exp(-rate * np.asarray(v, dtype=float)))
 
 
 def _cos(freq: float = 1.0):
-    _finite(freq, "freq")
+    freq = _promote(freq, (), "freq")
     return ScalarFunc(f"cos({freq})", lambda v: np.cos(freq * np.asarray(v, dtype=float)))
 
 
@@ -130,7 +138,7 @@ SCALAR_FUNCS = {"one": _one, "linear": _linear, "exp_decay": _exp_decay, "cos": 
 
 
 def _ones_map(d_dim: int = 1, n_dim: int = 1):
-    shape = (d_dim, n_dim)
+    shape = _dims(d_dim=d_dim, n_dim=n_dim)
 
     def value(y):
         y = np.asarray(y, dtype=float)
@@ -145,7 +153,7 @@ def _ones_map(d_dim: int = 1, n_dim: int = 1):
 
 def _identity_map(d_dim: int = 1):
     """psi(y) = diag(y): square, with psi(y) x = y * x componentwise."""
-    eye = np.eye(d_dim)
+    eye = np.eye(*_dims(d_dim=d_dim))
     jconst = np.zeros((d_dim, d_dim, d_dim))
     for i in range(d_dim):
         jconst[i, i, i] = 1.0
@@ -162,7 +170,7 @@ def _identity_map(d_dim: int = 1):
 
 
 def _sin_plus_map(shift: float = 0.0):
-    _finite(shift, "shift")
+    shift = _promote(shift, (), "shift")
 
     def value(y):
         y = np.asarray(y, dtype=float)
@@ -286,7 +294,7 @@ def _halton(n_points: int, dim: int) -> np.ndarray:
 
 def constant_coefficient(value, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
     """sigma(t, u, y) = C."""
-    c = _promote(value, (d_dim, n_dim), "value")
+    c = _promote(value, _dims(d_dim=d_dim, n_dim=n_dim), "value")
     zero3 = np.zeros(c.shape + (d_dim,))
 
     def eval_many(t, us, ys):
@@ -304,7 +312,7 @@ def linear_coefficient(a, b=0.0, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
     Scalars are promoted: for d = n = 1, ``linear_coefficient(1.0)`` is the
     plain sigma = y.
     """
-    a_t = _promote(a, (d_dim, n_dim, d_dim), "a")
+    a_t = _promote(a, _dims(d_dim=d_dim, n_dim=n_dim) + (d_dim,), "a")
     b_m = _promote(b, (d_dim, n_dim), "b")
 
     def eval_many(t, us, ys):
@@ -340,11 +348,10 @@ def trig_coefficient(
     n_dim: int = 1,
 ) -> Coefficient:
     """sigma[a, b](t, u, y) = amp[a, b] * sin(p t + q u + r . y + phase[a, b])."""
-    amp_m = _promote(amp, (d_dim, n_dim), "amp")
+    amp_m = _promote(amp, _dims(d_dim=d_dim, n_dim=n_dim), "amp")
     phase_m = _promote(phase, (d_dim, n_dim), "phase")
     r = _promote(y_weights, (d_dim,), "y_weights")
-    _finite(t_freq, "t_freq")
-    _finite(u_freq, "u_freq")
+    t_freq, u_freq = _promote(t_freq, (), "t_freq"), _promote(u_freq, (), "u_freq")
 
     def angle(t, us, ys):
         if isinstance(t, np.ndarray):

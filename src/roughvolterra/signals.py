@@ -68,6 +68,8 @@ class FbmSpec:
             raise ValueError(f"hurst must lie in (1/3, 1), got {self.hurst}")
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.method not in ("auto", "cholesky", "circulant"):
             raise ValueError(f"unknown fbm method '{self.method}'")
 
@@ -238,4 +240,6 @@ BUILTIN_PATHS = ("linear", "sine", "cosine", "quadratic", "trig")
 
 def builtin_path(name: str, grid: Grid, dim: int = 1) -> Path:
     """Deterministic smooth driver by name; see `BUILTIN_PATHS`."""
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
     return Path(grid, _builtin_values(name, grid.times, dim))

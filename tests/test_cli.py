@@ -1,18 +1,24 @@
 """Command-line runner: config round trips, file formats, exit codes."""
 from __future__ import annotations
 
-import copy
+import contextlib
+import io
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughvolterra.cli import (
     EXIT_INVALID,
+    EXIT_IO,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     ExperimentConfig,
@@ -87,6 +93,27 @@ def fbm_rough_config(n_steps: int = 128) -> dict:
         },
         "outputs": {"prefix": "fbmr"},
     }
+
+
+def fbm_driver(n_steps: int | None = None, **entries):
+    """A config edit: a 1-D fbm driver with ``entries``, and ``n_steps`` grid steps if given."""
+
+    def edit(data):
+        data["driver"] = {"kind": "fbm", "hurst": 0.75, "dim": 1, "seed": 3, **entries}
+        data["grid"]["n_steps"] = n_steps or data["grid"]["n_steps"]
+
+    return edit
+
+
+def singular_kernel(**entries):
+    """A config edit: the singular config, with ``entries`` added to its kernel."""
+
+    def edit(data):
+        data.clear()
+        data.update(singular_config(n_steps=64))
+        data["kernel"].update(entries)
+
+    return edit
 
 
 def write_config(tmp_path, data, name="config.json") -> str:
@@ -214,10 +241,37 @@ class TestConfig:
             (lambda d: d["coefficient"]["params"].update(amp=None), "'amp'"),
             (lambda d: d["coefficient"]["params"].update(t_freq=None), "'t_freq'"),
             (lambda d: d["coefficient"].update(family="constant", params={"value": float("inf")}), "'value'"),
+            (lambda d: d["grid"].update(n_steps=64.5), "'grid.n_steps'"),
+            (fbm_driver(seed=3.9), "'driver.seed'"),
+            (fbm_driver(lift_refine=2.5), "'driver.lift_refine'"),
+            (lambda d: d["driver"].update(dim=1.7), "'driver.dim'"),
+            (lambda d: d.update(version=True), "'version'"),
+            (lambda d: d.update(solver={"max_iter": 1.9}), "'solver.max_iter'"),
+            (lambda d: d["outputs"].update(write_lift="yes"), "'outputs.write_lift'"),
+            (lambda d: d["outputs"].update(prefix=5), "'outputs.prefix'"),
+            (lambda d: d["coefficient"].update(params=[1]), "'coefficient.params'"),
+            (singular_kernel(psi_params=[1]), "'kernel.psi_params'"),
+            (lambda d: d["coefficient"].update(family=[]), "'coefficient.family'"),
+            (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": []}, "psi": {"name": "ones"}}), "scalar function name"),
+            (lambda d: d.update(a={}), "'a'"),
+            (lambda d: d["coefficient"]["params"].update(d_dim="2"), "'d_dim'"),
+            (lambda d: d.update(a="x"), "'a'"),
+            (fbm_driver(seed=-1), "seed must be non-negative"),
+            (lambda d: d["driver"].update(dim=0), "dim must be positive"),
+            (lambda d: d["grid"].update(n_steps=2**21), "'grid.n_steps'"),
+            (fbm_driver(lift_refine=2, n_steps=2**20), "'grid.n_steps'"),
+            (lambda d: d["coefficient"]["params"].update(t_freq=[1]), "'t_freq'"),
+            (lambda d: d["coefficient"]["params"].update(amp=True), "'amp'"),
+            (singular_kernel(psi_params={"name": "identity"}), "'name'"),
         ],
         ids=[
             "gamma-null", "grid-without-horizon", "unknown-trig-param", "phi-without-name", "unknown-phi-param",
             "max-iter-null", "one-with-rate", "cos-with-shift", "amp-null", "t-freq-null", "value-infinity",
+            "n-steps-fraction", "seed-fraction", "lift-refine-fraction", "builtin-dim-fraction", "version-true",
+            "max-iter-fraction", "write-lift-string", "prefix-number", "params-list", "psi-params-list",
+            "family-list", "phi-name-list", "a-object", "d-dim-string", "a-string", "seed-negative",
+            "builtin-dim-zero", "builtin-grid-over-size-limit", "lifted-grid-over-size-limit", "t-freq-list",
+            "amp-true", "psi-params-name",
         ],
     )
     def test_malformed_config_exits_invalid_naming_the_field(self, tmp_path, capsys, edit, named):
@@ -408,6 +462,23 @@ class TestRate:
         assert code == EXIT_INVALID
         assert "refinements must be at least 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit,refinements",
+        [
+            (lambda d: d["grid"].update(n_steps=2**18), 4),
+            (lambda d: None, 10**6),
+            (fbm_driver(lift_refine=4, n_steps=2**16), 4),
+        ],
+        ids=["finest-level", "refinements-huge", "finest-lifted-level"],
+    )
+    def test_ladder_over_size_limit_is_refused(self, tmp_path, capsys, edit, refinements):
+        data = exp_sine_config(n_steps=64)
+        edit(data)
+        cfg = write_config(tmp_path, data)
+        code = main(["rate", "--config", cfg, "--out", str(tmp_path), "--refinements", str(refinements)])
+        assert code == EXIT_INVALID
+        assert "--refinements" in capsys.readouterr().err
+
     def test_singular_oracle_reports_exponent_benchmark(self, tmp_path):
         cfg = write_config(tmp_path, singular_config(n_steps=512))
         assert main(["rate", "--config", cfg, "--out", str(tmp_path), "--refinements", "3"]) == EXIT_OK
@@ -477,6 +548,46 @@ class TestCheck:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# Mutated configs
+# ---------------------------------------------------------------------------
+
+# No valid large integer here, so no mutation can start a large solve.
+MUTATIONS = (None, True, "x", [], {}, [1], -1, 0, 0.5, 1e300)
+
+
+def config_slots(data: dict, path: tuple = ()):
+    """The key path of every section and leaf of a config."""
+    for key, value in data.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from config_slots(value, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw) -> dict:
+    """A young, singular or rough config at 16 steps with one section or leaf replaced."""
+    data = draw(st.sampled_from([fbm_young_config, singular_config, fbm_rough_config]))(16)
+    *parents, key = draw(st.sampled_from(list(config_slots(data))))
+    node = data
+    for parent in parents:
+        node = node[parent]
+    node[key] = draw(st.sampled_from(MUTATIONS))
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mutated_configs())
+def test_mutated_config_exits_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["solve", "--config", write_config(pathlib.Path(out), data), "--out", out])
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_IO)
+    if code == EXIT_INVALID:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
