@@ -64,8 +64,6 @@ from .solver import (
     SolverReport,
     VolterraProblem,
     WindowRecord,
-    picard_residual,
-    residual_holder_diagnostic,
     solve,
     solve_rough,
     solve_singular,

@@ -30,8 +30,8 @@ picks the default::
       "outputs"?: {"prefix"?: "experiment", "write_lift"?: false}
     }
 
-``n_steps`` x ``lift_refine``, and for ``rate`` the same at its finest
-level, is at most ``MAX_FINE_STEPS`` = 2**20.
+``n_steps`` x ``lift_refine`` x ``dim``, and for ``rate`` the same at its
+finest level, is at most ``MAX_FINE_STEPS`` = 2**20.
 
 Exit codes: 0 success; 2 invalid config or arguments (the message names
 the violated constraint or config entry); 3 solver non-convergence or
@@ -91,7 +91,7 @@ CONFIG_VERSION = 1
 
 RATE_ORACLES = ("exp_of_sine", "exponential", "power_kernel", "quadratic_ramp")
 
-MAX_FINE_STEPS = 2**20  # larger grids are refused before any array exists
+MAX_FINE_STEPS = 2**20  # larger driver samples are refused before any array exists
 
 # JSON types of config entries: (the name a message gives it, its test).
 _INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
@@ -163,8 +163,8 @@ class ExperimentConfig:
         refine = driver.get("lift_refine", 1)
         if refine < 1:
             raise ValueError(f"driver lift_refine must be a positive integer, got {refine}")
-        if data["grid"]["n_steps"] * refine > MAX_FINE_STEPS:
-            raise ValueError(f"config entry 'grid.n_steps' x 'driver.lift_refine' is over {MAX_FINE_STEPS} steps")
+        if data["grid"]["n_steps"] * refine * driver.get("dim", 1) > MAX_FINE_STEPS:
+            raise ValueError(f"config entry 'grid.n_steps' x 'driver.lift_refine' x 'driver.dim' is over {MAX_FINE_STEPS}")
 
         regime = data["regime"]
         if regime not in ("young", "singular", "rough"):
@@ -500,24 +500,30 @@ def cmd_solve(args) -> int:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Refinement study: resolutions, errors, fitted log-log slope."""
+    """Refinement study: resolutions, errors, fitted log-log slope.
+
+    An error of exactly 0 has no logarithm: then ``slope`` and
+    ``lsq_residual`` are None and ``zero_error_resolutions`` names its levels.
+    """
 
     mode: str
     resolutions: tuple[int, ...]
     error_resolutions: tuple[int, ...]
     errors: tuple[float, ...]
-    slope: float
-    lsq_residual: float
+    slope: float | None
+    lsq_residual: float | None
     benchmark: float | None
     converged: tuple[bool, ...]
+    zero_error_resolutions: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.resolutions) < 3:
             raise ValueError(f"rate study needs at least 3 resolutions, got {len(self.resolutions)}")
-        if not np.isfinite(self.slope):
+        if self.slope is not None and not np.isfinite(self.slope):
             raise ValueError(f"fitted slope is not finite: {self.slope}")
 
     def to_dict(self) -> dict:
+        skipped = {"zero_error_resolutions": list(self.zero_error_resolutions)} if self.zero_error_resolutions else {}
         return {
             "mode": self.mode,
             "resolutions": list(self.resolutions),
@@ -525,6 +531,7 @@ class RateReport:
             "errors": list(self.errors),
             "slope": self.slope,
             "lsq_residual": self.lsq_residual,
+            **skipped,
             "benchmark": self.benchmark,
             "converged": list(self.converged),
         }
@@ -573,9 +580,9 @@ def cmd_rate(args) -> int:
     refinements = args.refinements
     if refinements < 3:
         raise ValueError(f"refinements must be at least 3, got {refinements}")
-    finest = cfg.grid.n_steps * cfg.driver.get("lift_refine", 1)
+    finest = cfg.grid.n_steps * cfg.driver.get("lift_refine", 1) * cfg.driver.get("dim", 1)
     if refinements > MAX_FINE_STEPS.bit_length() or finest << (refinements - 1) > MAX_FINE_STEPS:
-        raise ValueError(f"--refinements {refinements} takes the finest level past {MAX_FINE_STEPS} fine steps")
+        raise ValueError(f"--refinements {refinements} takes the finest level x 'driver.dim' past {MAX_FINE_STEPS}")
     rate_cfg = cfg.raw.get("rate", {})
     mode = rate_cfg.get("mode", "self")
     resolutions = [cfg.grid.n_steps << k for k in range(refinements)]
@@ -628,19 +635,22 @@ def cmd_rate(args) -> int:
         error_resolutions = solved[:-1]
         benchmark = rate_cfg.get("benchmark")
 
-    fit, residuals, *_ = np.polyfit(
-        np.log2(error_resolutions), np.log2(errors), 1, full=True
-    )
-    lsq = float(np.sqrt(residuals[0] / len(errors))) if len(residuals) else 0.0
+    zero_at = tuple(n for n, e in zip(error_resolutions, errors) if e == 0.0)
+    slope = lsq = None
+    if not zero_at:
+        fit, residuals, *_ = np.polyfit(np.log2(error_resolutions), np.log2(errors), 1, full=True)
+        slope = float(-fit[0])
+        lsq = float(np.sqrt(residuals[0] / len(errors))) if len(residuals) else 0.0
     rate = RateReport(
         mode=mode,
         resolutions=tuple(solved),
         error_resolutions=tuple(error_resolutions),
         errors=tuple(errors),
-        slope=float(-fit[0]),
+        slope=slope,
         lsq_residual=lsq,
         benchmark=benchmark,
         converged=tuple(r.converged for r in reports),
+        zero_error_resolutions=zero_at,
     )
     payload = {"config": cfg.to_dict(), **rate.to_dict(), "timing": {"seconds": seconds}, "rng": rng}
     _write_json(f"{prefix}_rate.json", payload)

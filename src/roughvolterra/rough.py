@@ -256,22 +256,20 @@ def rough_integral(z: ControlledPath, x: Path, xx: LevyArea, i: int, j: int) -> 
 
 
 def rough_row_sum(
-    sigma: Coefficient, times: np.ndarray, dx: np.ndarray, adj: np.ndarray,
-    y: np.ndarray, yp: np.ndarray, m: int, lo: int, hi: int,
+    sigma: Coefficient, t: float, times: np.ndarray, dx: np.ndarray,
+    y: np.ndarray, adj: np.ndarray, yp: np.ndarray,
 ) -> np.ndarray:
-    """Sum over cells l in [lo, hi) of the second-order germ frozen at t_m, shape (d,).
+    """Sum over cells l of the second-order germ frozen at outer time t, shape (d,).
 
-    Cell l contributes sigma(t_m, t_l, y_l) dx_l plus the chain-rule
-    derivative D_y sigma(t_m, t_l, y_l) . y'_l against the lift cell
-    ``adj[l]``.
+    Cell l contributes sigma(t, times_l, y_l) dx_l plus the chain-rule
+    derivative D_y sigma(t, times_l, y_l) . yp_l against its lift cell
+    ``adj[l]``; all arrays hold the cells in one order.
     """
-    if hi <= lo:
+    if len(times) == 0:
         return np.zeros(sigma.d_dim)
-    t_m = float(times[m])
-    rows = sigma.eval_many(t_m, times[lo:hi], y[lo:hi])
-    jacs = sigma.d3_many(t_m, times[lo:hi], y[lo:hi])
-    zp = np.einsum("ldnc,lca->ldna", jacs, yp[lo:hi])
-    return np.einsum("ldn,ln->d", rows, dx[lo:hi]) + np.einsum("ldba,lab->d", zp, adj[lo:hi])
+    t = float(t)
+    zp = np.einsum("ldnc,lca->ldna", sigma.d3_many(t, times, y), yp)
+    return np.einsum("ldn,ln->d", sigma.eval_many(t, times, y), dx) + np.einsum("ldba,lab->d", zp, adj)
 
 
 def controlled_compose(sigma: Coefficient, t: float, y: ControlledPath) -> ControlledPath:

@@ -11,7 +11,8 @@ which is exactly the admissibility constraint on the kernel.
 
 Increments between two times also pick up a contribution from the past:
 the kernel difference (t - u)^(-alpha) - (s - u)^(-alpha) integrated over
-[0, s], handled by the same dyadic scheme anchored at 0.
+[0, s], handled by the same dyadic scheme anchored at 0.  Every level of
+either part is a `singular_row_sum`, the sum the solver also adds up.
 """
 from __future__ import annotations
 
@@ -30,10 +31,6 @@ __all__ = [
     "singular_increment",
     "singular_row_sum",
 ]
-
-# below this fraction of the horizon, powers are evaluated in log space
-TINY_INTERVAL_FRACTION = 1e-8
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -88,20 +85,6 @@ class KernelSpec:
         return self.psi.n_dim
 
 
-def _power(dt: np.ndarray, alpha: float, horizon: float) -> np.ndarray:
-    """(dt)^(-alpha) with a log-space branch for very small intervals."""
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt <= 0):
-        raise ValueError("kernel evaluated at a nonpositive interval")
-    tiny = dt < TINY_INTERVAL_FRACTION * horizon
-    if not np.any(tiny):
-        return dt**-alpha
-    out = np.empty_like(dt)
-    out[~tiny] = dt[~tiny] ** -alpha
-    out[tiny] = np.exp(-alpha * np.log(dt[tiny]))
-    return out
-
-
 def kernel_increment(t: float, s: float, u: float, alpha: float) -> float:
     """(t - u)^(-alpha) - (s - u)^(-alpha) for u < s < t; always <= 0.
 
@@ -116,17 +99,17 @@ def kernel_increment(t: float, s: float, u: float, alpha: float) -> float:
 
 
 def singular_row_sum(
-    k: KernelSpec, times: np.ndarray, dx: np.ndarray, y: np.ndarray, m: int, lo: int, hi: int
+    k: KernelSpec, t: float, times: np.ndarray, dx: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Sum over cells l in [lo, hi) of (t_m - t_l)^(-alpha) psi(y_l) dx_l, shape (d,).
+    """Sum over cells l of (t - times_l)^(-alpha) psi(y_l) dx_l, shape (d,).
 
-    Every cell starts at least one grid step before t_m, so the weights
-    are finite plain powers.
+    ``times``, ``dx`` and ``y`` hold the cells' left points, driver
+    increments and left-point states.  Every cell starts before t, so the
+    weights are finite plain powers.
     """
-    if hi <= lo:
+    if len(times) == 0:
         return np.zeros(k.d_dim)
-    weights = (times[m] - times[lo:hi]) ** -k.alpha
-    return np.einsum("l,ldn,ln->d", weights, k.psi.value(y[lo:hi]), dx[lo:hi])
+    return np.einsum("l,ldn,ln->d", (t - times) ** -k.alpha, k.psi.value(y), dx)
 
 
 def _check_paths(k: KernelSpec, y: Path, x: Path) -> None:
@@ -138,32 +121,18 @@ def _check_paths(k: KernelSpec, y: Path, x: Path) -> None:
         raise ValueError("state and driver live on different grids")
 
 
-def _dyadic_levels(
-    k: KernelSpec,
-    y: Path,
-    x: Path,
-    weight_fn,
-    base: int,
-    span: int,
-    stride_base: int,
-) -> list[np.ndarray]:
-    """Level-by-level left-point sums with weights from ``weight_fn``.
+def _level_sums(k: KernelSpec, y: Path, x: Path, t: float, lo: int, hi: int) -> list[np.ndarray]:
+    """Row sums at outer time t over the dyadic levels of [t_lo, t_hi], coarsest first.
 
-    Level n uses 2^n left points starting at ``base`` with stride
-    ``stride_base >> n``; ``span = stride_base * 2^n_max`` cells total.
+    Level n sums the cells of the strided restriction lo : hi + 1 : (hi - lo) >> n,
+    so level 0 is the one cell [t_lo, t_hi] and the last level the native cells.
     """
-    t = y.grid.times
-    xv = x.values
-    yv = y.values
-    n_max = span.bit_length() - 1
+    span = hi - lo
     levels = []
-    for n in range(n_max + 1):
-        stride = span >> n
-        idx = base + stride * np.arange(1 << n)
-        w = weight_fn(t[idx])
-        psi_v = k.psi.value(yv[idx])
-        dxv = xv[idx + stride] - xv[idx]
-        levels.append(np.einsum("l,ldn,ln->d", w, psi_v, dxv))
+    for n in range(span.bit_length()):
+        points = slice(lo, hi + 1, span >> n)
+        times, xs, ys = y.grid.times[points], x.values[points], y.values[points]
+        levels.append(singular_row_sum(k, t, times[:-1], np.diff(xs, axis=0), ys[:-1]))
     return levels
 
 
@@ -189,14 +158,7 @@ def singular_integral_diag(
         raise ValueError(f"need 0 <= i < j <= {n}, got ({i}, {j})")
     if not _is_power_of_two(j - i):
         raise ValueError(f"non-dyadic interval: j - i = {j - i} is not a power of two")
-    t = y.grid.times
-    horizon = y.grid.horizon
-    t_end = float(t[j])
-    levels = _dyadic_levels(
-        k, y, x,
-        weight_fn=lambda u: _power(t_end - u, k.alpha, horizon),
-        base=i, span=j - i, stride_base=j - i,
-    )
+    levels = _level_sums(k, y, x, float(y.grid.times[j]), i, j)
     return (levels[-1], levels) if return_levels else levels[-1]
 
 
@@ -212,6 +174,7 @@ def singular_integral_offdiag(
 
     The weight is (t_j - u)^(-alpha) - (t_i - u)^(-alpha), which is
     nonpositive and singular at u -> t_i; left points keep it finite.
+    Each level is the t_j-frozen row sum minus the t_i-frozen one.
     ``i`` must be a power of two (or zero, where the past is empty).
     """
     _check_paths(k, y, x)
@@ -224,13 +187,9 @@ def singular_integral_offdiag(
     if not _is_power_of_two(i):
         raise ValueError(f"non-dyadic past: i = {i} is not a power of two")
     t = y.grid.times
-    horizon = y.grid.horizon
-    t_new, t_old = float(t[j]), float(t[i])
-
-    def weight(u):
-        return _power(t_new - u, k.alpha, horizon) - _power(t_old - u, k.alpha, horizon)
-
-    levels = _dyadic_levels(k, y, x, weight_fn=weight, base=0, span=i, stride_base=i)
+    new = _level_sums(k, y, x, float(t[j]), 0, i)
+    old = _level_sums(k, y, x, float(t[i]), 0, i)
+    levels = [a - b for a, b in zip(new, old)]
     return (levels[-1], levels) if return_levels else levels[-1]
 
 

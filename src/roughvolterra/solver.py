@@ -46,8 +46,6 @@ __all__ = [
     "solve_young",
     "solve_singular",
     "solve_rough",
-    "picard_residual",
-    "residual_holder_diagnostic",
     "DEFAULT_TOL_SMOOTH",
     "DEFAULT_TOL_FBM",
     "DEFAULT_MAX_ITER",
@@ -220,23 +218,6 @@ class SolverReport:
     config: dict = field(default_factory=dict)
 
 
-def picard_residual(y_old: Path, y_new: Path) -> float:
-    """Sup-norm distance between consecutive Picard iterates."""
-    if y_old.grid != y_new.grid:
-        raise ValueError("iterates must share one grid")
-    if y_old.value_shape != y_new.value_shape:
-        raise ValueError("iterates must share one value shape")
-    return float(np.max(np.abs(y_new.values - y_old.values)))
-
-
-def residual_holder_diagnostic(y_old: Path, y_new: Path, gamma: float) -> float:
-    """Dyadic-lag gamma-Hölder norm of the update difference (secondary diagnostic)."""
-    if y_old.grid != y_new.grid:
-        raise ValueError("iterates must share one grid")
-    diff = y_new.values - y_old.values
-    return _segment_holder(y_old.grid.times, diff, 0, y_old.grid.n_steps, gamma)
-
-
 def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu: float) -> float:
     """Hölder-mu norm of a value array over [i0, i1], dyadic lags only."""
     width = i1 - i0
@@ -269,14 +250,15 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
 
 
 def _row_sum(p: VolterraProblem):
-    """The regime's row sum as rows(m, lo, hi, y, yp) -> (d,)."""
+    """The regime's row sum as rows(m, lo, hi, y, yp) -> (d,): cells [lo, hi) frozen at t_m."""
     coeff, times, dx = p.coefficient, p.grid.times, p.driver.cells()
-    if p.regime == "young":
-        return lambda m, lo, hi, y, yp: young_row_sum(coeff, times, dx, y, m, lo, hi)
-    if p.regime == "singular":
-        return lambda m, lo, hi, y, yp: singular_row_sum(coeff, times, dx, y, m, lo, hi)
-    adj = p.lift.adjacent
-    return lambda m, lo, hi, y, yp: rough_row_sum(coeff, times, dx, adj, y, yp, m, lo, hi)
+    if p.regime == "rough":
+        adj = p.lift.adjacent
+        return lambda m, lo, hi, y, yp: rough_row_sum(
+            coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi], adj[lo:hi], yp[lo:hi]
+        )
+    row_sum = young_row_sum if p.regime == "young" else singular_row_sum
+    return lambda m, lo, hi, y, yp: row_sum(coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi])
 
 
 def solve(

@@ -147,17 +147,17 @@ def compose_coeff(
 
 
 def young_row_sum(
-    sigma: Coefficient, times: np.ndarray, dx: np.ndarray, y: np.ndarray, m: int, lo: int, hi: int
+    sigma: Coefficient, t: float, times: np.ndarray, dx: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Sum over cells l in [lo, hi) of sigma(t_m, t_l, y_l) dx_l, shape (d,).
+    """Sum over cells l of sigma(t, times_l, y_l) dx_l, shape (d,).
 
-    The first-order germ frozen at outer time t_m; ``dx`` holds the
-    driver's cell increments and ``y`` the state samples.
+    The first-order germ frozen at outer time t; ``times``, ``dx`` and
+    ``y`` hold the cells' left points, driver increments and left-point
+    states.
     """
-    if hi <= lo:
+    if len(times) == 0:
         return np.zeros(sigma.d_dim)
-    rows = sigma.eval_many(float(times[m]), times[lo:hi], y[lo:hi])
-    return np.einsum("ldn,ln->d", rows, dx[lo:hi])
+    return np.einsum("ldn,ln->d", sigma.eval_many(float(t), times, y), dx)
 
 
 def volterra_increment_young(
@@ -185,8 +185,8 @@ def volterra_increment_young(
     if not (0 <= i <= j <= n):
         raise ValueError(f"index pair ({i}, {j}) outside 0 <= i <= j <= {n}")
     t, dx, yv = x.grid.times, x.cells(), y.values
-    recent = young_row_sum(sigma, t, dx, yv, j, i, j)
-    past = young_row_sum(sigma, t, dx, yv, j, 0, i) - young_row_sum(sigma, t, dx, yv, i, 0, i)
+    recent = young_row_sum(sigma, t[j], t[i:j], dx[i:j], yv[i:j])
+    past = young_row_sum(sigma, t[j], t[:i], dx[:i], yv[:i]) - young_row_sum(sigma, t[i], t[:i], dx[:i], yv[:i])
     if return_parts:
         return recent, past
     return recent + past

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,8 @@ class TestConfig:
             (lambda d: d["coefficient"]["params"].update(t_freq=[1]), "'t_freq'"),
             (lambda d: d["coefficient"]["params"].update(amp=True), "'amp'"),
             (singular_kernel(psi_params={"name": "identity"}), "'name'"),
+            (lambda d: d["driver"].update(dim=2**21), "'driver.dim'"),
+            (fbm_driver(dim=2**21, n_steps=16), "'driver.dim'"),
         ],
         ids=[
             "gamma-null", "grid-without-horizon", "unknown-trig-param", "phi-without-name", "unknown-phi-param",
@@ -271,7 +274,7 @@ class TestConfig:
             "max-iter-fraction", "write-lift-string", "prefix-number", "params-list", "psi-params-list",
             "family-list", "phi-name-list", "a-object", "d-dim-string", "a-string", "seed-negative",
             "builtin-dim-zero", "builtin-grid-over-size-limit", "lifted-grid-over-size-limit", "t-freq-list",
-            "amp-true", "psi-params-name",
+            "amp-true", "psi-params-name", "builtin-dim-over-size-limit", "fbm-dim-over-size-limit",
         ],
     )
     def test_malformed_config_exits_invalid_naming_the_field(self, tmp_path, capsys, edit, named):
@@ -468,8 +471,9 @@ class TestRate:
             (lambda d: d["grid"].update(n_steps=2**18), 4),
             (lambda d: None, 10**6),
             (fbm_driver(lift_refine=4, n_steps=2**16), 4),
+            (fbm_driver(dim=2**14, n_steps=16), 4),
         ],
-        ids=["finest-level", "refinements-huge", "finest-lifted-level"],
+        ids=["finest-level", "refinements-huge", "finest-lifted-level", "finest-level-times-dim"],
     )
     def test_ladder_over_size_limit_is_refused(self, tmp_path, capsys, edit, refinements):
         data = exp_sine_config(n_steps=64)
@@ -497,6 +501,21 @@ class TestRate:
         assert rate["rng"]["master_n_steps"] == 2048
         assert all(e > 0 for e in rate["errors"])
         assert rate["slope"] >= 0.2  # measured 0.40 for seed 31
+
+    def test_exactly_agreeing_levels_skip_the_fit(self, tmp_path, capsys):
+        # a = 1e300 swamps every increment, so all levels agree to the bit
+        data = fbm_young_config(n_steps=16)
+        data["a"] = 1e300
+        cfg = write_config(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rate = json.loads((tmp_path / "fbmy_rate.json").read_text())
+        assert rate["errors"] == [0.0, 0.0]
+        assert rate["slope"] is None and rate["lsq_residual"] is None
+        assert rate["zero_error_resolutions"] == [16, 32]
 
     def test_failing_solve_aborts_with_partial_table(self, tmp_path, capsys):
         data = exp_sine_config(n_steps=64)
@@ -594,8 +613,12 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     import roughvolterra
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(roughvolterra.__file__)))
-    code = "import sys, roughvolterra.cli; print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
+    code = (
+        "import sys, roughvolterra.cli; print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules]); "
+        "roughvolterra.run_checks('algebra'); print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # scipy is a test dependency only: nothing the package runs imports it
+    assert proc.stdout.split() == ["[]", "[]"]

@@ -45,6 +45,24 @@ def brute_force_map(k: KernelSpec, y: Path, x: Path) -> np.ndarray:
     return z
 
 
+def left_point_levels(k: KernelSpec, y: Path, x: Path, weight, lo: int, hi: int) -> list[np.ndarray]:
+    """sum over cells [a, b] of weight(t_a) psi(y_a) (x_b - x_a), on every dyadic restriction of [lo, hi].
+
+    Coarsest first: one cell, then 2, 4, ... down to the native cells.
+    """
+    t = y.grid.times
+    levels = []
+    stride = hi - lo
+    while stride >= 1:
+        total = np.zeros(k.d_dim)
+        for a in range(lo, hi, stride):
+            psi = k.psi.value(y.values[a : a + 1])[0]
+            total += weight(t[a]) * psi @ (x.values[a + stride] - x.values[a])
+        levels.append(total)
+        stride //= 2
+    return levels
+
+
 class TestKernelSpec:
     def test_alpha_constraint_named(self):
         with pytest.raises(ValueError, match="0 < alpha < 1/2"):
@@ -236,6 +254,32 @@ class TestOffDiagonal:
         # and the same corrections are geometrically dominated at the
         # guaranteed rate with a frozen constant
         assert np.max(corrections * 2.0 ** (target * lv)) <= 0.2
+
+
+class TestStridedLevels:
+    def test_offset_base_levels_match_left_point_sums(self):
+        # interval starts that are not multiples of the stride: diag over
+        # [t_5, t_13], and the past [0, t_4] of the increment to t_12
+        alpha = 0.3
+        k = KernelSpec(alpha=alpha, psi=matrix_func("sin_plus", shift=1.0), gamma=0.9)
+        g = Grid(1.0, 16)
+        x = builtin_path("sine", g)
+        y = Path(g, np.cos(3 * g.times)[:, None])
+        t = g.times
+        cases = [
+            (singular_integral_diag(k, y, x, 5, 13, return_levels=True), lambda u: (t[13] - u) ** -alpha, 5, 13),
+            (
+                singular_integral_offdiag(k, y, x, 4, 12, return_levels=True),
+                lambda u: (t[12] - u) ** -alpha - (t[4] - u) ** -alpha,
+                0,
+                4,
+            ),
+        ]
+        for (value, levels), weight, lo, hi in cases:
+            want = left_point_levels(k, y, x, weight, lo, hi)
+            assert len(levels) == len(want)
+            for got, ref in zip(levels + [value], want + [want[-1]]):
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestIncrement:
