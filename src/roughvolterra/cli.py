@@ -440,6 +440,7 @@ def _solver_report_json(
         "errors": {
             "tolerance": report.tolerance,
             "max_iter": report.max_iter,
+            "sweeps": report.sweeps,
             "final_residual": report.windows[-1].final_residual if report.windows else None,
             "t_solved": report.t_solved,
             "solved_steps": report.solved_steps,

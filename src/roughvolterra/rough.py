@@ -257,19 +257,21 @@ def rough_integral(z: ControlledPath, x: Path, xx: LevyArea, i: int, j: int) -> 
 
 def rough_row_sum(
     sigma: Coefficient, t: float, times: np.ndarray, dx: np.ndarray,
-    y: np.ndarray, adj: np.ndarray, yp: np.ndarray,
+    y: np.ndarray, w: np.ndarray,
 ) -> np.ndarray:
     """Sum over cells l of the second-order germ frozen at outer time t, shape (d,).
 
     Cell l contributes sigma(t, times_l, y_l) dx_l plus the chain-rule
-    derivative D_y sigma(t, times_l, y_l) . yp_l against its lift cell
-    ``adj[l]``; all arrays hold the cells in one order.
+    derivative D_y sigma(t, times_l, y_l) against ``w[l] = yp_l . adj_l``,
+    the state derivative times the cell's lift, shape (l, d, n), which does
+    not depend on t; all arrays hold the cells in one order.
     """
     if len(times) == 0:
         return np.zeros(sigma.d_dim)
     t = float(t)
-    zp = np.einsum("ldnc,lca->ldna", sigma.d3_many(t, times, y), yp)
-    return np.einsum("ldn,ln->d", sigma.eval_many(t, times, y), dx) + np.einsum("ldba,lab->d", zp, adj)
+    return np.einsum("ldn,ln->d", sigma.eval_many(t, times, y), dx) + np.einsum(
+        "ldbc,lcb->d", sigma.d3_many(t, times, y), w
+    )
 
 
 def controlled_compose(sigma: Coefficient, t: float, y: ControlledPath) -> ControlledPath:

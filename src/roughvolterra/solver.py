@@ -11,10 +11,16 @@ weakly singular kernel (t - u)^(-alpha) psi(y) ('singular'), and
 second-order sums driven by a Lévy-area lift for exponents in (1/3, 1/2]
 ('rough').
 
-Iteration runs window by window.  Each window restarts from the constant
-extension of the previously accepted endpoint, accepts when the sup-norm
-update drops below tolerance, halves its length when the iteration fails
-to settle, and grows by half after success (capped at half the horizon).
+The map is strictly causal: row m reads only rows before it.  Iteration
+runs window by window.  Each window starts from the constant extension of
+the previously accepted endpoint and sweeps its rows in order, writing
+each one before the next reads it, so the first sweep is forward
+substitution onto the window's fixed point and a second sweep confirms it
+(its sup-norm update is exactly zero).  A window is accepted when a
+sweep's update drops below tolerance, so accepting one needs
+``max_iter >= 2`` unless the start is already exact.  A window halves its
+length when a sweep turns non-finite or the budget runs out, and grows by
+half after success (capped at half the horizon).
 A window that fails at one grid cell ends the solve; the report then
 carries the partial solution up to the last accepted time, which for the
 rough regime is a legitimate outcome rather than an error: only local
@@ -201,13 +207,16 @@ class SolverReport:
     ``proven_horizon`` is the horizon backed by a genuine contraction
     window; for the rough regime anything beyond the first window is a
     heuristic extension and ``extension_heuristic`` says whether the
-    solve used one.
+    solve used one.  ``sweeps`` counts every sweep the solve ran, those of
+    window attempts discarded by halving included; ``windows`` records only
+    the accepted windows and the final failed one.
     """
 
     regime: Regime
     solution: Path
     yprime: Path | None
     windows: tuple[WindowRecord, ...]
+    sweeps: int
     converged: bool
     t_solved: float
     solved_steps: int
@@ -245,20 +254,26 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
 # as a row sum over cells [lo, hi) frozen at t_m.  Cell l reads the state at
 # its left point, so once the solution is accepted up to `start` the cells
 # l <= start no longer move: a window sums them once (its history) and each
-# sweep adds the moving cells (start, m).
+# sweep adds the moving cells (start, m).  Row m reads only rows < m, so a
+# sweep that writes each row before the next one reads it (Gauss-Seidel) is
+# forward substitution: its first pass is the window's fixed point, and a
+# second pass reads the same inputs and changes nothing.
 # ---------------------------------------------------------------------------
 
 
 def _row_sum(p: VolterraProblem):
-    """The regime's row sum as rows(m, lo, hi, y, yp) -> (d,): cells [lo, hi) frozen at t_m."""
+    """The regime's row sum as rows(m, lo, hi, y, w) -> (d,): cells [lo, hi) frozen at t_m.
+
+    ``w`` holds the rough germ's per-cell product y'_l . adj_l (None in the
+    other regimes).
+    """
     coeff, times, dx = p.coefficient, p.grid.times, p.driver.cells()
     if p.regime == "rough":
-        adj = p.lift.adjacent
-        return lambda m, lo, hi, y, yp: rough_row_sum(
-            coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi], adj[lo:hi], yp[lo:hi]
+        return lambda m, lo, hi, y, w: rough_row_sum(
+            coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi], w[lo:hi]
         )
     row_sum = young_row_sum if p.regime == "young" else singular_row_sum
-    return lambda m, lo, hi, y, yp: row_sum(coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi])
+    return lambda m, lo, hi, y, w: row_sum(coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi])
 
 
 def solve(
@@ -273,6 +288,8 @@ def solve(
     ``tol`` defaults by driver (`DEFAULT_TOL_FBM` for fBm, otherwise
     `DEFAULT_TOL_SMOOTH`); ``initial_window`` defaults to a quarter of the
     grid; ``initial_guess`` replaces the constant start of the first window.
+    A window is accepted once a sweep changes it by less than ``tol``; the
+    confirming sweep after forward substitution needs ``max_iter >= 2``.
     """
     if tol is None:
         tol = DEFAULT_TOL_FBM if p.driver_meta and "hurst" in p.driver_meta else DEFAULT_TOL_SMOOTH
@@ -286,25 +303,31 @@ def solve(
     times = grid.times
     norm_exponent = p.kappa if p.regime == "singular" else p.gamma
 
-    def refreshed(yp, y, lo, hi):
-        # the rough germ reads y' = sigma(t, t, y) beside y; other regimes carry None
-        if yp is None:
-            return None
-        out = yp.copy()
-        out[lo:hi] = p.coefficient.diagonal_many(times[lo:hi], y[lo:hi])
-        return out
+    def refresh(y, yp, w, lo, hi):
+        # the rough germ reads y' = sigma(t, t, y) beside y, through w_l = y'_l . adj_l;
+        # other regimes carry None
+        if yp is not None:
+            yp[lo:hi] = p.coefficient.diagonal_many(times[lo:hi], y[lo:hi])
+            cells = slice(lo, min(hi, n))
+            w[cells] = np.matmul(yp[cells], p.lift.adjacent[cells])
 
-    def history(start, end, y, yp):
-        return np.stack([rows(m, 0, start + 1, y, yp) for m in range(start + 1, end + 1)])
+    def history(start, end, y, w):
+        return np.stack([rows(m, 0, start + 1, y, w) for m in range(start + 1, end + 1)])
 
-    def sweep(y, yp, start, end, hist):
-        out = y.copy()
+    def sweep(y, yp, w, start, end, hist):
+        # in place, row by row; returns the sup-norm change of the window
+        before = y[start + 1 : end + 1].copy()
         for idx, m in enumerate(range(start + 1, end + 1)):
-            out[m] = p.a + hist[idx] + rows(m, start + 1, m, y, yp)
-        return out, refreshed(yp, out, start + 1, end + 1)
+            y[m] = p.a + hist[idx] + rows(m, start + 1, m, y, w)
+            refresh(y, yp, w, m, m + 1)
+        return float(np.max(np.abs(y[start + 1 : end + 1] - before)))
 
     y = np.tile(p.a, (n + 1, 1))
-    yp = refreshed(np.empty((n + 1, p.d_dim, p.n_dim)), y, 0, n + 1) if p.regime == "rough" else None
+    yp = w = None
+    if p.regime == "rough":
+        yp = np.empty((n + 1, p.d_dim, p.n_dim))
+        w = np.empty((n, p.d_dim, p.n_dim))
+        refresh(y, yp, w, 0, n + 1)
 
     if initial_guess is not None:
         initial_guess = np.asarray(initial_guess, dtype=float)
@@ -314,6 +337,7 @@ def solve(
             )
 
     windows: list[WindowRecord] = []
+    sweeps = 0
     start = 0
     window = max(n // 4, 1) if initial_window is None else initial_window
     if not (1 <= window <= n):
@@ -322,23 +346,22 @@ def solve(
 
     while start < n:
         end = min(start + window, n)
-        hist = history(start, end, y, yp)
+        hist = history(start, end, y, w)
         y_try = y.copy()
         if initial_guess is not None:  # the first attempt only
             y_try[start + 1 : end + 1] = initial_guess[start + 1 : end + 1]
             initial_guess = None
         else:
             y_try[start + 1 : end + 1] = y[start]
-        yp_try = refreshed(yp, y_try, start + 1, end + 1)
+        yp_try, w_try = (yp.copy(), w.copy()) if yp is not None else (None, None)
         residuals: list[float] = []
         ok = False
         for iterations in range(1, max_iter + 1):
-            y_next, yp_next = sweep(y_try, yp_try, start, end, hist)
-            res = float(np.max(np.abs(y_next[start : end + 1] - y_try[start : end + 1])))
+            res = sweep(y_try, yp_try, w_try, start, end, hist)
+            sweeps += 1
             residuals.append(res)
             if not np.isfinite(res):
                 break
-            y_try, yp_try = y_next, yp_next
             if res < tol:
                 ok = True
                 break
@@ -347,7 +370,7 @@ def solve(
             continue
         holder_res = _segment_holder(times, y_try - y, start, end, norm_exponent)
         if ok:
-            y, yp = y_try, yp_try
+            y, yp, w = y_try, yp_try, w_try
         windows.append(
             WindowRecord(
                 start=start,
@@ -385,6 +408,7 @@ def solve(
         solution=Path(grid, y),
         yprime=Path(grid, yp) if yp is not None else None,
         windows=tuple(windows),
+        sweeps=sweeps,
         converged=solved_steps == n,
         t_solved=float(times[solved_steps]),
         solved_steps=solved_steps,
