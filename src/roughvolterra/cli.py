@@ -24,7 +24,7 @@ picks the default::
                       "params"?: {...}},        # young / rough regimes
       "kernel": {"alpha": a, "psi": "<matrix function>",
                  "psi_params"?: {...}},         # singular regime
-      "solver"?: {"tol"?: t|null, "max_iter"?: int},
+      "solver"?: {"tol"?: t|null},
       "rate"?: {"mode"?: "oracle" | "self", "oracle"?: "<name>",
                 "benchmark"?: number|null},
       "outputs"?: {"prefix"?: "experiment", "write_lift"?: false}
@@ -64,7 +64,7 @@ from .coefficients import (
 from .rough import LevyArea, levy_lift_piecewise_linear, lift_from_subgrid
 from .signals import BUILTIN_PATHS, FbmSpec, builtin_path, generate_fbm_detailed
 from .singular import KernelSpec
-from .solver import DEFAULT_MAX_ITER, SolverReport, VolterraProblem, solve
+from .solver import SolverReport, VolterraProblem, solve
 
 __all__ = [
     "ExperimentConfig",
@@ -119,7 +119,7 @@ _FIELDS = {
     "grid": {"n_steps": (_INT, _REQUIRED), "horizon": (_NUM, _REQUIRED)},
     "coefficient": {"family": (_STR, _REQUIRED), "params": (_OBJ,)},
     "kernel": {"alpha": (_NUM, _REQUIRED), "psi": (_STR, _REQUIRED), "psi_params": (_OBJ,)},
-    "solver": {"tol": (_NUM, _NULLABLE), "max_iter": (_INT,)},
+    "solver": {"tol": (_NUM, _NULLABLE)},
     "rate": {"mode": (_STR,), "oracle": (_STR,), "benchmark": (_NUM, _NULLABLE)},
     "outputs": {"prefix": (_STR,), "write_lift": (_BOOL,)},
 }
@@ -416,7 +416,6 @@ def _window_dicts(report: SolverReport) -> list[dict]:
             "iterations": w.iterations,
             "final_residual": w.final_residual,
             "holder_norm": w.holder_norm,
-            "holder_residual": w.holder_residual,
         }
         for w in report.windows
     ]
@@ -439,9 +438,8 @@ def _solver_report_json(
         },
         "errors": {
             "tolerance": report.tolerance,
-            "max_iter": report.max_iter,
             "sweeps": report.sweeps,
-            "final_residual": report.windows[-1].final_residual if report.windows else None,
+            "final_residual": report.windows[-1].final_residual,
             "t_solved": report.t_solved,
             "solved_steps": report.solved_steps,
             "proven_horizon": report.proven_horizon,
@@ -573,7 +571,7 @@ def _solve_rate_ladder(cfg: ExperimentConfig, resolutions: list[int]):
 
 def _solve_with_opts(cfg: ExperimentConfig, problem: VolterraProblem) -> SolverReport:
     opts = cfg.raw.get("solver", {})
-    return solve(problem, tol=opts.get("tol"), max_iter=opts.get("max_iter", DEFAULT_MAX_ITER))
+    return solve(problem, tol=opts.get("tol"))
 
 
 def cmd_rate(args) -> int:

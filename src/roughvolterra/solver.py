@@ -11,16 +11,16 @@ weakly singular kernel (t - u)^(-alpha) psi(y) ('singular'), and
 second-order sums driven by a Lévy-area lift for exponents in (1/3, 1/2]
 ('rough').
 
-The map is strictly causal: row m reads only rows before it.  Iteration
+The map is strictly causal: row m reads only rows before it.  The solve
 runs window by window.  Each window starts from the constant extension of
 the previously accepted endpoint and sweeps its rows in order, writing
 each one before the next reads it, so the first sweep is forward
 substitution onto the window's fixed point and a second sweep confirms it
 (its sup-norm update is exactly zero).  A window is accepted when a
-sweep's update drops below tolerance, so accepting one needs
-``max_iter >= 2`` unless the start is already exact.  A window halves its
-length when a sweep turns non-finite or the budget runs out, and grows by
-half after success (capped at half the horizon).
+sweep's update drops below tolerance, so it takes two sweeps, or one if
+the start is already exact; there is no iteration budget.  A window halves
+its length when a sweep turns non-finite, and grows by half after success
+(capped at half the horizon).
 A window that fails at one grid cell ends the solve; the report then
 carries the partial solution up to the last accepted time, which for the
 rough regime is a legitimate outcome rather than an error: only local
@@ -54,14 +54,12 @@ __all__ = [
     "solve_rough",
     "DEFAULT_TOL_SMOOTH",
     "DEFAULT_TOL_FBM",
-    "DEFAULT_MAX_ITER",
 ]
 
 Regime = Literal["young", "singular", "rough"]
 
 DEFAULT_TOL_SMOOTH = 1e-10
 DEFAULT_TOL_FBM = 1e-8
-DEFAULT_MAX_ITER = 60
 
 
 @dataclass
@@ -150,6 +148,8 @@ def validate_problem(p: VolterraProblem) -> None:
             raise ValueError(f"{p.regime} regime requires a Coefficient, got {type(p.coefficient).__name__}")
         if p.gamma is None or p.kappa is None:
             raise ValueError(f"{p.regime} regime requires explicit gamma and kappa exponents")
+        if not (p.kappa <= 1.0):
+            raise ValueError(f"{p.regime} regime requires kappa <= 1, a Hölder exponent, got kappa={p.kappa}")
 
     if p.regime == "young":
         if not (0.5 < p.gamma <= 1.0):
@@ -180,21 +180,23 @@ def validate_problem(p: VolterraProblem) -> None:
 
 @dataclass(frozen=True)
 class WindowRecord:
-    """One continuation window: indices, iteration trace and diagnostics."""
+    """One continuation window: indices, each sweep's sup-norm update, Hölder norm of the last sweep."""
 
     start: int
     end: int
     t_start: float
     t_end: float
     converged: bool
-    iterations: int
     residuals: tuple[float, ...]
     holder_norm: float
-    holder_residual: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
 
     @property
     def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else float("inf")
+        return self.residuals[-1]
 
 
 @dataclass(frozen=True)
@@ -221,19 +223,15 @@ class SolverReport:
     t_solved: float
     solved_steps: int
     tolerance: float
-    max_iter: int
     proven_horizon: float
     extension_heuristic: bool
     config: dict = field(default_factory=dict)
 
 
 def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu: float) -> float:
-    """Hölder-mu norm of a value array over [i0, i1], dyadic lags only."""
+    """Hölder-mu norm of a value array over [i0, i1], i0 < i1, dyadic lags only."""
     width = i1 - i0
-    if width <= 0:
-        return 0.0
-    seg = values[i0 : i1 + 1]
-    flat = seg.reshape(seg.shape[0], -1)
+    flat = values[i0 : i1 + 1].reshape(width + 1, -1)
     best = 0.0
     lag = 1
     # overflowed iterates reach this diagnostic on the partial-solve path;
@@ -279,7 +277,6 @@ def _row_sum(p: VolterraProblem):
 def solve(
     p: VolterraProblem,
     tol: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
     initial_window: int | None = None,
     initial_guess: np.ndarray | None = None,
 ) -> SolverReport:
@@ -288,22 +285,20 @@ def solve(
     ``tol`` defaults by driver (`DEFAULT_TOL_FBM` for fBm, otherwise
     `DEFAULT_TOL_SMOOTH`); ``initial_window`` defaults to a quarter of the
     grid; ``initial_guess`` replaces the constant start of the first window.
-    A window is accepted once a sweep changes it by less than ``tol``; the
-    confirming sweep after forward substitution needs ``max_iter >= 2``.
+    A window is accepted once a sweep changes it by less than ``tol``:
+    forward substitution and one confirming sweep, whose update is zero.
     """
     if tol is None:
         tol = DEFAULT_TOL_FBM if p.driver_meta and "hurst" in p.driver_meta else DEFAULT_TOL_SMOOTH
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     rows = _row_sum(p)
     grid = p.grid
     n = grid.n_steps
     times = grid.times
     norm_exponent = p.kappa if p.regime == "singular" else p.gamma
 
-    def refresh(y, yp, w, lo, hi):
+    def refresh(lo, hi):
         # the rough germ reads y' = sigma(t, t, y) beside y, through w_l = y'_l . adj_l;
         # other regimes carry None
         if yp is not None:
@@ -311,23 +306,12 @@ def solve(
             cells = slice(lo, min(hi, n))
             w[cells] = np.matmul(yp[cells], p.lift.adjacent[cells])
 
-    def history(start, end, y, w):
-        return np.stack([rows(m, 0, start + 1, y, w) for m in range(start + 1, end + 1)])
-
-    def sweep(y, yp, w, start, end, hist):
-        # in place, row by row; returns the sup-norm change of the window
-        before = y[start + 1 : end + 1].copy()
-        for idx, m in enumerate(range(start + 1, end + 1)):
-            y[m] = p.a + hist[idx] + rows(m, start + 1, m, y, w)
-            refresh(y, yp, w, m, m + 1)
-        return float(np.max(np.abs(y[start + 1 : end + 1] - before)))
-
     y = np.tile(p.a, (n + 1, 1))
     yp = w = None
     if p.regime == "rough":
         yp = np.empty((n + 1, p.d_dim, p.n_dim))
         w = np.empty((n, p.d_dim, p.n_dim))
-        refresh(y, yp, w, 0, n + 1)
+        refresh(0, n + 1)
 
     if initial_guess is not None:
         initial_guess = np.asarray(initial_guess, dtype=float)
@@ -345,32 +329,30 @@ def solve(
     cap = max(n // 2, 1)
 
     while start < n:
+        # attempts write y, y' and w in place: a sweep reads only rows <= start and
+        # rows it has written, and a retry or the tail overwrites a failed attempt
         end = min(start + window, n)
-        hist = history(start, end, y, w)
-        y_try = y.copy()
+        moving = range(start + 1, end + 1)
+        hist = [rows(m, 0, start + 1, y, w) for m in moving]
         if initial_guess is not None:  # the first attempt only
-            y_try[start + 1 : end + 1] = initial_guess[start + 1 : end + 1]
+            y[start + 1 : end + 1] = initial_guess[start + 1 : end + 1]
             initial_guess = None
         else:
-            y_try[start + 1 : end + 1] = y[start]
-        yp_try, w_try = (yp.copy(), w.copy()) if yp is not None else (None, None)
+            y[start + 1 : end + 1] = y[start]
         residuals: list[float] = []
-        ok = False
-        for iterations in range(1, max_iter + 1):
-            res = sweep(y_try, yp_try, w_try, start, end, hist)
-            sweeps += 1
-            residuals.append(res)
-            if not np.isfinite(res):
+        for _ in range(2):  # forward substitution, then the confirming sweep
+            before = y[start + 1 : end + 1].copy()
+            for m, h in zip(moving, hist):
+                y[m] = p.a + h + rows(m, start + 1, m, y, w)
+                refresh(m, m + 1)
+            residuals.append(float(np.max(np.abs(y[start + 1 : end + 1] - before))))
+            if not np.isfinite(residuals[-1]) or residuals[-1] < tol:
                 break
-            if res < tol:
-                ok = True
-                break
+        sweeps += len(residuals)
+        ok = residuals[-1] < tol
         if not ok and window > 1:
-            window = window // 2
+            window //= 2
             continue
-        holder_res = _segment_holder(times, y_try - y, start, end, norm_exponent)
-        if ok:
-            y, yp, w = y_try, yp_try, w_try
         windows.append(
             WindowRecord(
                 start=start,
@@ -378,16 +360,14 @@ def solve(
                 t_start=float(times[start]),
                 t_end=float(times[end]),
                 converged=ok,
-                iterations=iterations,
                 residuals=tuple(residuals),
                 holder_norm=_segment_holder(times, y, start, end, norm_exponent),
-                holder_residual=holder_res,
             )
         )
         if not ok:
             break
         start = end
-        window = min(max(int(window * 1.5), 1), cap)
+        window = min(int(window * 1.5), cap)
 
     solved_steps = start
     # tail past the solved horizon: constant extension, not solution values
@@ -413,10 +393,9 @@ def solve(
         t_solved=float(times[solved_steps]),
         solved_steps=solved_steps,
         tolerance=tol,
-        max_iter=max_iter,
         proven_horizon=proven,
         extension_heuristic=heuristic,
-        config={**p.config(), "tolerance": tol, "max_iter": max_iter},
+        config={**p.config(), "tolerance": tol},
     )
 
 

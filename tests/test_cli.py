@@ -236,7 +236,7 @@ class TestConfig:
             (lambda d: d["coefficient"]["params"].update(frequency=2.0), "'frequency'"),
             (lambda d: d["coefficient"].update(family="separable", params={"phi": {}, "psi": {"name": "ones"}}), "'phi'"),
             (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": "exp_decay", "speed": 1.0}, "psi": {"name": "ones"}}), "'speed'"),
-            (lambda d: d.update(solver={"max_iter": None}), "'solver.max_iter'"),
+            (lambda d: d.update(solver={"tol": "x"}), "'solver.tol'"),
             (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": "one", "rate": 5}, "psi": {"name": "ones"}}), "'rate'"),
             (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": "one"}, "psi": {"name": "cos", "shift": 1}}), "'shift'"),
             (lambda d: d["coefficient"]["params"].update(amp=None), "'amp'"),
@@ -247,7 +247,7 @@ class TestConfig:
             (fbm_driver(lift_refine=2.5), "'driver.lift_refine'"),
             (lambda d: d["driver"].update(dim=1.7), "'driver.dim'"),
             (lambda d: d.update(version=True), "'version'"),
-            (lambda d: d.update(solver={"max_iter": 1.9}), "'solver.max_iter'"),
+            (lambda d: d.update(solver={"tol": True}), "'solver.tol'"),
             (lambda d: d["outputs"].update(write_lift="yes"), "'outputs.write_lift'"),
             (lambda d: d["outputs"].update(prefix=5), "'outputs.prefix'"),
             (lambda d: d["coefficient"].update(params=[1]), "'coefficient.params'"),
@@ -266,15 +266,18 @@ class TestConfig:
             (singular_kernel(psi_params={"name": "identity"}), "'name'"),
             (lambda d: d["driver"].update(dim=2**21), "'driver.dim'"),
             (fbm_driver(dim=2**21, n_steps=16), "'driver.dim'"),
+            (lambda d: d.update(solver={"max_iter": 60}), "unknown config key 'solver.max_iter'"),
+            (lambda d: d.update(kappa=1e300), "kappa <= 1"),
         ],
         ids=[
             "gamma-null", "grid-without-horizon", "unknown-trig-param", "phi-without-name", "unknown-phi-param",
-            "max-iter-null", "one-with-rate", "cos-with-shift", "amp-null", "t-freq-null", "value-infinity",
+            "tol-string", "one-with-rate", "cos-with-shift", "amp-null", "t-freq-null", "value-infinity",
             "n-steps-fraction", "seed-fraction", "lift-refine-fraction", "builtin-dim-fraction", "version-true",
-            "max-iter-fraction", "write-lift-string", "prefix-number", "params-list", "psi-params-list",
+            "tol-true", "write-lift-string", "prefix-number", "params-list", "psi-params-list",
             "family-list", "phi-name-list", "a-object", "d-dim-string", "a-string", "seed-negative",
             "builtin-dim-zero", "builtin-grid-over-size-limit", "lifted-grid-over-size-limit", "t-freq-list",
             "amp-true", "psi-params-name", "builtin-dim-over-size-limit", "fbm-dim-over-size-limit",
+            "max-iter-unknown", "kappa-huge",
         ],
     )
     def test_malformed_config_exits_invalid_naming_the_field(self, tmp_path, capsys, edit, named):
