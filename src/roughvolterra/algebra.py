@@ -232,16 +232,25 @@ def delta2(h: Increment2) -> Increment3:
 def _mags(vals: np.ndarray, value_ndim: int) -> np.ndarray:
     """Euclidean magnitude over the trailing value axes.
 
-    Values near the float ceiling (e.g. the finite prefix of a diverging
-    Picard iteration) overflow when squared; the resulting inf is the
-    correct magnitude, not an arithmetic error.
+    A finite entry above ~1.3e154 overflows when squared: the values whose
+    plain magnitude reads inf while every entry is finite are summed again
+    scaled by their largest entry, so only a magnitude above the float
+    ceiling reads inf.  Every finite plain result is returned as is.
     """
     vals = np.asarray(vals, dtype=float)
     if value_ndim == 0:
         return np.abs(vals)
     tail = tuple(range(vals.ndim - value_ndim, vals.ndim))
     with np.errstate(over="ignore"):
-        return np.sqrt(np.sum(vals * vals, axis=tail))
+        mags = np.sqrt(np.sum(vals * vals, axis=tail))
+        if not np.isfinite(np.sum(mags)):  # a reduction, no temporary array on the common path
+            mags = np.array(mags)
+            over = np.isinf(mags) & np.isfinite(vals).all(axis=tail)
+            big = vals[over]  # shape (k,) + value shape
+            value_axes = tuple(range(1, big.ndim))
+            scale = np.max(np.abs(big), axis=value_axes, keepdims=True)
+            mags[over] = scale.reshape(-1) * np.sqrt(np.sum((big / scale) ** 2, axis=value_axes))
+    return mags
 
 
 def holder_norm(g: Increment2, mu: float) -> HolderNorm:

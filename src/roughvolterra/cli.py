@@ -552,21 +552,25 @@ def _solve_rate_ladder(cfg: ExperimentConfig, resolutions: list[int]):
 
     Random drivers are generated once on the finest grid and restricted
     down, so coarser runs see the same signal; builtin drivers are
-    analytic and regenerate consistently at any resolution.
+    analytic and regenerate consistently at any resolution.  Returns the
+    reports, the rng record and each level's solve time in seconds.
     """
     master = None
     if cfg.driver["kind"] == "fbm":
         n_master = resolutions[-1] * cfg.driver.get("lift_refine", 1)
         master = _draw_fbm(cfg, n_master, master_n_steps=n_master)
     reports: list[SolverReport] = []
+    levels: list[float] = []
     for n in resolutions:
         sub = cfg.with_steps(n)
         # builtin drivers keep the one-argument call that wrappers of build_problem(cfg) expect
         problem, rng = build_problem(sub) if master is None else build_problem(sub, master)
+        started = time.perf_counter()
         reports.append(_solve_with_opts(sub, problem))
+        levels.append(time.perf_counter() - started)
         if not reports[-1].converged:
             break
-    return reports, rng
+    return reports, rng, levels
 
 
 def _solve_with_opts(cfg: ExperimentConfig, problem: VolterraProblem) -> SolverReport:
@@ -587,8 +591,8 @@ def cmd_rate(args) -> int:
     resolutions = [cfg.grid.n_steps << k for k in range(refinements)]
 
     started = time.perf_counter()
-    reports, rng = _solve_rate_ladder(cfg, resolutions)
-    seconds = time.perf_counter() - started
+    reports, rng, levels = _solve_rate_ladder(cfg, resolutions)
+    timing = {"seconds": time.perf_counter() - started, "levels": levels}
     solved = resolutions[: len(reports)]
     aborted = bool(reports) and not reports[-1].converged
 
@@ -603,7 +607,7 @@ def cmd_rate(args) -> int:
             "resolutions": solved,
             "converged": [r.converged for r in reports],
             "aborted": True,
-            "timing": {"seconds": seconds},
+            "timing": timing,
             "rng": rng,
         }
         _write_json(f"{prefix}_rate.json", partial)
@@ -651,7 +655,7 @@ def cmd_rate(args) -> int:
         converged=tuple(r.converged for r in reports),
         zero_error_resolutions=zero_at,
     )
-    payload = {"config": cfg.to_dict(), **rate.to_dict(), "timing": {"seconds": seconds}, "rng": rng}
+    payload = {"config": cfg.to_dict(), **rate.to_dict(), "timing": timing, "rng": rng}
     _write_json(f"{prefix}_rate.json", payload)
     print(f"{prefix}_rate.json")
     return EXIT_OK

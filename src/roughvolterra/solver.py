@@ -27,6 +27,11 @@ rough regime is a legitimate outcome rather than an error: only local
 solvability is guaranteed there, and the report marks everything past the
 first window as heuristic continuation.
 
+Cost in grid steps n: a young or rough solve is O(n^2), every row summing
+its earlier cells.  On the uniform grid the singular kernel is Toeplitz, so
+a singular solve is a causal convolution: FFT history and blocked forward
+substitution (`numpy.fft`), O(n log^2 n).
+
 All reported norms are discrete-grid quantities measured over dyadic time
 lags, hence lower bounds on their continuum counterparts.
 """
@@ -37,10 +42,10 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import Grid, Path
+from .algebra import Grid, Path, _mags
 from .coefficients import Coefficient
 from .rough import LevyArea, rough_row_sum
-from .singular import KernelSpec, singular_row_sum
+from .singular import KernelSpec
 from .young import young_row_sum
 
 __all__ = [
@@ -238,7 +243,7 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
     # their norm is legitimately inf, not an arithmetic error
     with np.errstate(over="ignore", invalid="ignore"):
         while lag <= width:
-            mags = np.linalg.norm(flat[lag:] - flat[:-lag], axis=1)
+            mags = _mags(flat[lag:] - flat[:-lag], 1)
             span = float(times[i0 + lag] - times[i0])
             best = max(best, float(np.max(mags)) / span**mu)
             lag *= 2
@@ -247,31 +252,135 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
 
 # ---------------------------------------------------------------------------
 # One windowed core for all three regimes.  The discrete map is
-#   (Gamma y)_m = a + sum over cells l < m of the regime's germ at outer time t_m,
-# and only the germ differs between regimes: each regime module supplies it
-# as a row sum over cells [lo, hi) frozen at t_m.  Cell l reads the state at
-# its left point, so once the solution is accepted up to `start` the cells
-# l <= start no longer move: a window sums them once (its history) and each
-# sweep adds the moving cells (start, m).  Row m reads only rows < m, so a
-# sweep that writes each row before the next one reads it (Gauss-Seidel) is
-# forward substitution: its first pass is the window's fixed point, and a
-# second pass reads the same inputs and changes nothing.
+#   (Gamma y)_m = a + sum over cells l < m of the regime's germ at outer time t_m.
+# Cell l reads the state at its left point, so once the solution is accepted
+# up to `start` the cells l <= start no longer move: a window sums them once
+# (its history) and each sweep adds the moving cells (start, m).  Row m reads
+# only rows < m, so a sweep that writes each row before the next one reads it
+# (Gauss-Seidel) is forward substitution: its first pass is the window's fixed
+# point, and a second pass reads the same inputs and changes nothing.  Only
+# the history and the sweep differ between regimes: `_RowSums` (young, rough)
+# sums each row's cells at t_m, `_Convolution` (singular) convolves.
 # ---------------------------------------------------------------------------
 
+# The most rows a singular sweep solves by the direct row loop, and the most
+# rows whose history it sums row by row; larger blocks split in two, larger
+# histories take one FFT.
+LEAF_ROWS = 64
 
-def _row_sum(p: VolterraProblem):
-    """The regime's row sum as rows(m, lo, hi, y, w) -> (d,): cells [lo, hi) frozen at t_m.
 
-    ``w`` holds the rough germ's per-cell product y'_l . adj_l (None in the
-    other regimes).
+class _RowSums:
+    """Young and rough steps: row m sums the regime's germs of cells [lo, m) frozen at t_m.
+
+    O(n) per row, O(n^2) per solve.  The rough germ also reads
+    y' = sigma(t, t, y), refreshed right after y, through the per-cell
+    product w_l = y'_l . adj_l; the young regime carries neither.
     """
-    coeff, times, dx = p.coefficient, p.grid.times, p.driver.cells()
-    if p.regime == "rough":
-        return lambda m, lo, hi, y, w: rough_row_sum(
-            coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi], w[lo:hi]
-        )
-    row_sum = young_row_sum if p.regime == "young" else singular_row_sum
-    return lambda m, lo, hi, y, w: row_sum(coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi])
+
+    def __init__(self, p: VolterraProblem, y: np.ndarray):
+        self.p, self.y = p, y
+        coeff, times, dx = p.coefficient, p.grid.times, p.driver.cells()
+        self.yp = self.w = None
+        if p.regime == "rough":
+            n = p.grid.n_steps
+            self.yp = np.empty((n + 1, p.d_dim, p.n_dim))
+            self.w = w = np.empty((n, p.d_dim, p.n_dim))
+            self.refresh(0, n + 1)
+            self.rows = lambda m, lo, hi: rough_row_sum(
+                coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi], w[lo:hi]
+            )
+        else:
+            self.rows = lambda m, lo, hi: young_row_sum(coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi])
+
+    def refresh(self, lo: int, hi: int) -> None:
+        if self.yp is not None:
+            p, y, n = self.p, self.y, len(self.w)
+            self.yp[lo:hi] = p.coefficient.diagonal_many(p.grid.times[lo:hi], y[lo:hi])
+            cells = slice(lo, min(hi, n))
+            self.w[cells] = np.matmul(self.yp[cells], p.lift.adjacent[cells])
+
+    def history(self, start: int, end: int) -> list[np.ndarray]:
+        return [self.rows(m, 0, start + 1) for m in range(start + 1, end + 1)]
+
+    def sweep(self, start: int, end: int, hist: list[np.ndarray]) -> None:
+        for m, h in zip(range(start + 1, end + 1), hist):
+            self.y[m] = self.p.a + h + self.rows(m, start + 1, m)
+            self.refresh(m, m + 1)
+
+
+class _Convolution:
+    """Singular steps: y_m = a + sum over l < m of K[m - l] g_l, a causal discrete convolution.
+
+    On the uniform grid t_m - t_l = t_(m-l), so the kernel weights
+    K[k] = t_k^(-alpha) are computed once per solve, and the per-cell term
+    g_l = psi(y_l) dx_l once when row l is written.  A window's history is
+    one FFT middle product.  A sweep is the recursion of Hairer, Lubich and
+    Schlichte (1985): solve the left half of a block, add its cells to the
+    right half with one FFT, solve the right half.  Blocks of at most
+    `LEAF_ROWS` rows, and the history of windows that short, are summed row
+    by row instead.  O(n log^2 n) per solve.
+
+    Values near the float ceiling overflow to inf silently, as in the
+    einsum of a row sum.  An FFT spreads a non-finite cell over its block as
+    nan, so a sweep stops at its first non-finite row, which fails the
+    window attempt; a failed window is recorded only at one row, whose
+    history is summed directly.
+    """
+
+    yp = None
+
+    def __init__(self, p: VolterraProblem, y: np.ndarray):
+        self.a, self.y = p.a, y
+        self.psi, self.dx = p.coefficient.psi.value, p.driver.cells()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self.K = p.grid.times ** -p.coefficient.alpha  # K[0] = inf: no cell weighs its own row
+            self.g = np.empty((p.grid.n_steps, p.d_dim))
+            self.g[0] = self.psi(p.a) @ self.dx[0]
+        self.acc = np.empty_like(y)  # per row: a plus the cells summed so far
+        self.spectra: dict[int, np.ndarray] = {}
+
+    def history(self, start: int, end: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if end - start > LEAF_ROWS:
+                return self.a + self._convolve(0, start + 1, end + 1)
+            cells = self.g[: start + 1]
+            return np.array([self.a + self.K[m - start : m + 1][::-1] @ cells for m in range(start + 1, end + 1)])
+
+    def sweep(self, start: int, end: int, hist: np.ndarray) -> None:
+        self.acc[start + 1 : end + 1] = hist
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._solve(start + 1, end + 1)
+
+    def _solve(self, lo: int, hi: int) -> bool:
+        """Write rows [lo, hi), whose ``acc`` holds every cell before ``lo``; False at a non-finite row."""
+        if hi - lo <= LEAF_ROWS:
+            y, g, K, acc, psi, dx, cells = self.y, self.g, self.K, self.acc, self.psi, self.dx, len(self.g)
+            for m in range(lo, hi):
+                y[m] = acc[m] + K[m - lo : 0 : -1] @ g[lo:m]
+                if not np.isfinite(y[m]).all():
+                    return False
+                if m < cells:
+                    g[m] = psi(y[m]) @ dx[m]
+            return True
+        mid = (lo + hi) // 2
+        if not self._solve(lo, mid):
+            return False
+        self.acc[mid:hi] += self._convolve(lo, mid, hi)
+        return self._solve(mid, hi)
+
+    def _convolve(self, lo: int, mid: int, hi: int) -> np.ndarray:
+        """Rows [mid, hi) of the sum over cells [lo, mid) of K[m - l] g_l: one FFT middle product.
+
+        The lags run from 1 to hi - lo - 1, so a circular convolution of
+        that length, rounded up to a power of two, wraps nothing into these
+        rows.
+        """
+        size = 1 << (hi - lo - 2).bit_length()
+        spectrum = self.spectra.get(size)
+        if spectrum is None:
+            spectrum = self.spectra[size] = np.fft.rfft(self.K[1 : size + 1], size)
+        cells = np.fft.rfft(self.g[lo:mid], size, axis=0)
+        return np.fft.irfft(cells * spectrum[:, None], size, axis=0)[mid - lo - 1 : hi - lo - 1]
 
 
 def solve(
@@ -292,26 +401,13 @@ def solve(
         tol = DEFAULT_TOL_FBM if p.driver_meta and "hurst" in p.driver_meta else DEFAULT_TOL_SMOOTH
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    rows = _row_sum(p)
     grid = p.grid
     n = grid.n_steps
     times = grid.times
     norm_exponent = p.kappa if p.regime == "singular" else p.gamma
 
-    def refresh(lo, hi):
-        # the rough germ reads y' = sigma(t, t, y) beside y, through w_l = y'_l . adj_l;
-        # other regimes carry None
-        if yp is not None:
-            yp[lo:hi] = p.coefficient.diagonal_many(times[lo:hi], y[lo:hi])
-            cells = slice(lo, min(hi, n))
-            w[cells] = np.matmul(yp[cells], p.lift.adjacent[cells])
-
     y = np.tile(p.a, (n + 1, 1))
-    yp = w = None
-    if p.regime == "rough":
-        yp = np.empty((n + 1, p.d_dim, p.n_dim))
-        w = np.empty((n, p.d_dim, p.n_dim))
-        refresh(0, n + 1)
+    steps = _Convolution(p, y) if p.regime == "singular" else _RowSums(p, y)
 
     if initial_guess is not None:
         initial_guess = np.asarray(initial_guess, dtype=float)
@@ -329,11 +425,10 @@ def solve(
     cap = max(n // 2, 1)
 
     while start < n:
-        # attempts write y, y' and w in place: a sweep reads only rows <= start and
+        # attempts write the state in place: a sweep reads only rows <= start and
         # rows it has written, and a retry or the tail overwrites a failed attempt
         end = min(start + window, n)
-        moving = range(start + 1, end + 1)
-        hist = [rows(m, 0, start + 1, y, w) for m in moving]
+        hist = steps.history(start, end)
         if initial_guess is not None:  # the first attempt only
             y[start + 1 : end + 1] = initial_guess[start + 1 : end + 1]
             initial_guess = None
@@ -342,9 +437,7 @@ def solve(
         residuals: list[float] = []
         for _ in range(2):  # forward substitution, then the confirming sweep
             before = y[start + 1 : end + 1].copy()
-            for m, h in zip(moving, hist):
-                y[m] = p.a + h + rows(m, start + 1, m, y, w)
-                refresh(m, m + 1)
+            steps.sweep(start, end, hist)
             residuals.append(float(np.max(np.abs(y[start + 1 : end + 1] - before))))
             if not np.isfinite(residuals[-1]) or residuals[-1] < tol:
                 break
@@ -372,6 +465,7 @@ def solve(
     solved_steps = start
     # tail past the solved horizon: constant extension, not solution values
     y[solved_steps + 1 :] = y[solved_steps]
+    yp = steps.yp
     if yp is not None:
         yp[solved_steps + 1 :] = yp[solved_steps]
 

@@ -173,6 +173,24 @@ class TestHolderNorm:
                 brute = max(brute, r)
         assert h.value == pytest.approx(brute, rel=1e-13)
 
+    def test_huge_finite_increments_have_finite_norms(self):
+        # squaring 3e200 overflows; the magnitude 5e200 does not
+        g = Grid(1.0, 2)
+        big = Path(g, np.array([[0.0, 0.0], [3e200, 4e200], [3e200, 4e200]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sup_norm(big) == pytest.approx(5e200, rel=1e-15)
+            h = path_holder_norm(big, 1.0)
+        assert h.value == pytest.approx(1e201, rel=1e-15)
+        assert h.arg_pair == (0, 1)
+        # a matrix-valued path: the value axes are summed together
+        mats = Path(g, np.array([[[0.0, 0.0]], [[3e200, 4e200]], [[0.0, 0.0]]]))
+        assert sup_norm(mats) == pytest.approx(5e200, rel=1e-15)
+        # a magnitude past the float ceiling stays inf
+        assert sup_norm(Path(g, np.array([[1.5e308, 1.5e308], [0.0, 0.0], [0.0, 0.0]]))) == np.inf
+        ramp = Path(g, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+        assert path_holder_norm(ramp, 1.0).value == 2.0 * math.sqrt(2.0)
+
     def test_rejects_nonpositive_exponent(self):
         g = Grid(1.0, 8)
         with pytest.raises(ValueError):

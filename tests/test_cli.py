@@ -494,6 +494,15 @@ class TestRate:
         assert rate["slope"] > 0  # measured 0.72
         assert rate["errors"][0] > rate["errors"][-1]
 
+    def test_timing_has_one_solve_time_per_level(self, tmp_path):
+        cfg = write_config(tmp_path, singular_config(n_steps=64))
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path), "--refinements", "4"]) == EXIT_OK
+        timing = json.loads((tmp_path / "sing_rate.json").read_text())["timing"]
+        assert list(timing) == ["seconds", "levels"]
+        assert len(timing["levels"]) == 4
+        assert all(s > 0 for s in timing["levels"])
+        assert sum(timing["levels"]) <= timing["seconds"]
+
     def test_fbm_self_convergence_shares_master_sample(self, tmp_path):
         cfg = write_config(tmp_path, fbm_young_config(n_steps=256))
         assert main(["rate", "--config", cfg, "--out", str(tmp_path), "--refinements", "4"]) == EXIT_OK
@@ -532,6 +541,7 @@ class TestRate:
         rate = json.loads((tmp_path / "expsine_rate.json").read_text())
         assert rate["aborted"] is True
         assert rate["converged"] == [False]
+        assert len(rate["timing"]["levels"]) == 1
 
 
 # ---------------------------------------------------------------------------

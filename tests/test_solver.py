@@ -11,7 +11,9 @@ margins well away from the measured values.
 """
 from __future__ import annotations
 
+import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from roughvolterra.rough import (
     volterra_remainder_rough,
 )
 from roughvolterra.signals import FbmSpec, generate_fbm
-from roughvolterra.singular import KernelSpec, singular_increment
+from roughvolterra.singular import KernelSpec, singular_increment, singular_row_sum
 from roughvolterra.solver import (
     DEFAULT_TOL_FBM,
     DEFAULT_TOL_SMOOTH,
@@ -297,6 +299,98 @@ class TestSingularSolver:
         assert np.abs(c - f).max() / np.abs(f).max() <= 1e-2  # measured 4.6e-3
 
 
+def direct_singular_solution(p: VolterraProblem) -> np.ndarray:
+    """Forward substitution row by row over every earlier cell: O(n^2), no windows, no FFT."""
+    t, dx = p.grid.times, p.driver.cells()
+    y = np.tile(p.a, (p.grid.n_steps + 1, 1))
+    for m in range(1, len(y)):
+        y[m] = p.a + singular_row_sum(p.coefficient, t[m], t[:m], dx[:m], y[:m])
+    return y
+
+
+def window_schedule(n: int, first: int) -> list[tuple[int, int]]:
+    """The solver's windows when none fails: ``first`` cells, then 1.5x growth capped at n / 2."""
+    spans, start, width = [], 0, first
+    while start < n:
+        spans.append((start, min(start + width, n)))
+        start = spans[-1][1]
+        width = min(int(width * 1.5), max(n // 2, 1))
+    return spans
+
+
+CONVOLUTION_PSI = {
+    "ones": lambda: matrix_func("ones"),
+    "sin_plus": lambda: matrix_func("sin_plus", shift=1.0),
+    "identity2": lambda: matrix_func("identity", d_dim=2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def convolution_case(n: int, alpha: float, psi: str) -> tuple[VolterraProblem, np.ndarray]:
+    g = Grid(1.0, n)
+    if psi == "identity2":
+        driver = Path(g, np.column_stack([np.sin(g.times), 0.5 * g.times**2]))
+        a = [1.0, -0.5]
+    else:
+        driver, a = sine_driver(n), 0.5
+    p = VolterraProblem("singular", a, KernelSpec(alpha, CONVOLUTION_PSI[psi](), gamma=1.0), driver)
+    return p, direct_singular_solution(p)
+
+
+class TestSingularConvolution:
+    """The singular sweep (FFT history, blocked forward substitution) against the direct O(n^2) one."""
+
+    @pytest.mark.parametrize("first", [1, 3, None], ids=["window-1", "window-3", "window-default"])
+    @pytest.mark.parametrize("psi", sorted(CONVOLUTION_PSI))
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.45])
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    def test_matches_direct_forward_substitution(self, n, alpha, psi, first):
+        p, want = convolution_case(n, alpha, psi)
+        rep = solve(p, initial_window=first)
+        assert rep.converged
+        got = rep.solution.values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()  # measured <= 4.5e-15
+        schedule = window_schedule(n, first or n // 4)
+        assert [(w.start, w.end) for w in rep.windows] == schedule
+        assert [w.iterations for w in rep.windows] == [2] * len(schedule)
+        assert all(w.residuals[1] == 0.0 for w in rep.windows)
+
+    def test_overflow_fails_at_the_same_row_without_warnings(self):
+        # y_1 = 4.4e303 is finite but g_1 = psi(y_1) dx_1 overflows to inf;
+        # the direct row sum reads inf at row 2, and so must the solver,
+        # where an FFT over that cell would read nan
+        g = Grid(1.0, 64)
+        p = VolterraProblem("singular", 1.0, abel_kernel(), Path(g, 1e305 * g.times[:, None]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_singular(p)
+        assert rep.solved_steps == 1
+        assert rep.sweeps == 7
+        assert [w.residuals for w in rep.windows] == [(4.419417382415922e303, 0.0), (np.inf,)]
+        assert np.isfinite(rep.solution.values).all()
+        # the accepted window's Hölder-1/2 norm is finite although its increment squared is not
+        assert rep.windows[0].holder_norm == pytest.approx(4.419417382415922e303 * 8.0, rel=1e-15)
+        assert rep.windows[1].holder_norm == np.inf
+
+    def test_late_overflow_halves_through_the_same_windows(self):
+        # the solution reaches 3.6e307 at row 286: windows of 384, 192, 96
+        # and 48 rows overflow inside FFT-summed blocks and halve, down to
+        # the one failed row, as with direct row sums (which printed 641
+        # numpy warnings on the way)
+        g = Grid(1.0, 1024)
+        x = Path(g, 2e3 * np.column_stack([g.times, -g.times]))
+        k = KernelSpec(alpha=0.25, psi=matrix_func("identity", d_dim=2), gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_singular(VolterraProblem("singular", [1.0, 1.0], k, x))
+        assert [(w.start, w.end) for w in rep.windows] == [
+            (0, 256), (256, 280), (280, 284), (284, 285), (285, 286), (286, 287)
+        ]
+        assert rep.sweeps == 20
+        assert rep.windows[-1].residuals == (np.inf,)
+        assert rep.solution.values[286, 0] == pytest.approx(3.55022084e307, rel=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # Second-order regime (Levy-area lift)
 # ---------------------------------------------------------------------------
@@ -475,6 +569,9 @@ class TestContinuationMechanics:
         # and the failed [1, 2] (1 sweep)
         assert [w.iterations for w in rep.windows] == [2, 1]
         assert rep.sweeps == 7
+        # one increment of 1.5625e158 over 1/64: its square overflows, its Hölder-1 norm is 1e160
+        assert rep.windows[0].holder_norm == pytest.approx(1e160, rel=1e-15)
+        assert rep.windows[1].holder_norm == np.inf
 
     @pytest.mark.parametrize("regime", ["young", "singular", "rough"])
     def test_windows_settle_by_forward_substitution(self, regime, exp_sine_report):
@@ -515,13 +612,14 @@ class TestContinuationMechanics:
 class TestOperatorEquation:
     """A converged solve satisfies its regime module's equation y_m - a = I(0, m).
 
-    The young and singular operators sum the same row sums as the solver,
-    so this ties the solver's windowed split (history once per window, the
-    moving cells each sweep) to the operator equation; forward substitution
-    solves the discrete equation exactly, so they agree to rounding.  The
-    row sums themselves are checked against independent references:
-    `brute_force_map` and the power-law oracles in the operator tests.  The
-    rough operator still sews its own prefix sums.
+    The young operator sums the same row sums as the solver, so this ties
+    the solver's windowed split (history once per window, the moving cells
+    each sweep) to the operator equation; forward substitution solves the
+    discrete equation exactly, so they agree to rounding.  The singular
+    operator sums `singular_row_sum`, which the solver's convolution does
+    not call.  The row sums themselves are checked against independent
+    references: `brute_force_map` and the power-law oracles in the operator
+    tests.  The rough operator still sews its own prefix sums.
     """
 
     def test_young(self):
@@ -539,7 +637,7 @@ class TestOperatorEquation:
         assert rep.converged
         for m in (1, 2, 16, 128, 256):  # the dyadic operator needs m a power of two
             want = singular_increment(p.coefficient, rep.solution, p.driver, 0, m)
-            assert np.abs(rep.solution.values[m] - p.a - want).max() <= 1e-13  # measured 8.9e-16
+            assert np.abs(rep.solution.values[m] - p.a - want).max() <= 1e-13  # measured 4.4e-16
 
     def test_rough(self):
         p = rough_trig_fbm2d_problem()
