@@ -16,7 +16,10 @@ coefficient is constructed, so a typo in an analytic derivative fails
 fast rather than corrupting a long solve.
 
 Built-in families: constant, linear in the state, separable
-phi(t - u) * psi(y), and trigonometric.
+phi(t - u) * psi(y), and trigonometric.  Each depends on the outer time
+only through exponentials e^(z (t - u)); they carry that form as `Modes`,
+which lets the solver sum earlier cells by running sums.  ``separable``
+with phi ``linear`` and custom coefficients carry none.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "Coefficient",
+    "Modes",
     "ScalarFunc",
     "MatrixFunc",
     "constant_coefficient",
@@ -43,10 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarFunc:
-    """A smooth scalar function of one variable, applied elementwise."""
+    """A smooth scalar function of one variable, applied elementwise.
+
+    ``rate`` is the exponent z with f(v) = Re e^(z v), for the functions
+    that are one exponential, else None.
+    """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
+    rate: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ def _promote(value, shape: tuple, name: str) -> np.ndarray:
 
 
 def _one():
-    return ScalarFunc("one", lambda v: np.ones_like(np.asarray(v, dtype=float)))
+    return ScalarFunc("one", lambda v: np.ones_like(np.asarray(v, dtype=float)), 0.0)
 
 
 def _linear():
@@ -126,12 +135,12 @@ def _linear():
 
 def _exp_decay(rate: float = 1.0):
     rate = _promote(rate, (), "rate")
-    return ScalarFunc(f"exp_decay({rate})", lambda v: np.exp(-rate * np.asarray(v, dtype=float)))
+    return ScalarFunc(f"exp_decay({rate})", lambda v: np.exp(-rate * np.asarray(v, dtype=float)), -float(rate))
 
 
 def _cos(freq: float = 1.0):
     freq = _promote(freq, (), "freq")
-    return ScalarFunc(f"cos({freq})", lambda v: np.cos(freq * np.asarray(v, dtype=float)))
+    return ScalarFunc(f"cos({freq})", lambda v: np.cos(freq * np.asarray(v, dtype=float)), 1j * float(freq))
 
 
 SCALAR_FUNCS = {"one": _one, "linear": _linear, "exp_decay": _exp_decay, "cos": _cos}
@@ -198,6 +207,21 @@ def _cos_map():
 MATRIX_FUNCS = {"ones": _ones_map, "identity": _identity_map, "sin_plus": _sin_plus_map, "cos": _cos_map}
 
 
+@dataclass(frozen=True)
+class Modes:
+    """sigma(t, u, y) = Re sum_k e^(rates[k] (t - u)) B_k(u, y): the outer time as exact exponentials.
+
+    ``value(us, ys)`` returns B, shape (..., K, d, n), for inner times
+    ``us`` (...) and states ``ys`` (..., d); ``jac(us, ys, b)`` returns the
+    state derivative D_y B, shape (..., K, d, n, d), given
+    ``b = value(us, ys)``.  B is real when ``rates`` is.
+    """
+
+    rates: np.ndarray
+    value: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
+    jac: Callable[[float | np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
 @dataclass
 class Coefficient:
     """sigma(t, u, y) -> d x n matrix, with its state derivative, batched.
@@ -206,6 +230,9 @@ class Coefficient:
     the state derivative (m, d, n, d), state component on the last axis,
     for inner times ``us`` (m,) and states ``ys`` (m, d).  The outer time
     ``t`` is one float or an (m,) array matched with ``us``.
+
+    ``modes``, when set, is the same sigma as `Modes`; the built-in
+    families set it, and it must agree with ``eval_many`` and ``d3_many``.
 
     Construction runs a central-difference consistency probe over
     ``probe_box`` unless ``validate=False``; see `check_derivatives`.
@@ -217,6 +244,7 @@ class Coefficient:
     d3_many: Callable[[float | np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     name: str = "custom"
     probe_box: tuple = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
+    modes: Modes | None = None
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
@@ -303,7 +331,12 @@ def constant_coefficient(value, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
     def d3_many(t, us, ys):
         return np.broadcast_to(zero3, (len(us),) + zero3.shape).copy()
 
-    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="constant")
+    modes = Modes(
+        np.zeros(1),
+        lambda us, ys: np.broadcast_to(c, np.shape(us) + (1,) + c.shape),
+        lambda us, ys, b: np.broadcast_to(zero3, np.shape(us) + (1,) + zero3.shape),
+    )
+    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="constant", modes=modes)
 
 
 def linear_coefficient(a, b=0.0, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
@@ -321,11 +354,21 @@ def linear_coefficient(a, b=0.0, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
     def d3_many(t, us, ys):
         return np.broadcast_to(a_t, (len(us),) + a_t.shape).copy()
 
-    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="linear")
+    modes = Modes(
+        np.zeros(1),
+        lambda us, ys: (np.vecdot(a_t, np.asarray(ys, dtype=float)[..., None, None, :]) + b_m)[..., None, :, :],
+        lambda us, ys, b: np.broadcast_to(a_t, np.shape(us) + (1,) + a_t.shape),
+    )
+    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="linear", modes=modes)
 
 
 def separable_coefficient(phi: ScalarFunc, psi: MatrixFunc) -> Coefficient:
-    """sigma(t, u, y) = phi(t - u) * psi(y)."""
+    """sigma(t, u, y) = phi(t - u) * psi(y); one mode, of rate ``phi.rate``, B = psi(y), unless phi has none.
+
+    phi reads only the lag t - u, so the derivative probe pins u = 0 and
+    spans the causal lags t in [0, 1]: a fast ``exp_decay`` overflows at
+    negative lags, which no solve evaluates.
+    """
 
     def eval_many(t, us, ys):
         w = np.asarray(phi.f(t - np.asarray(us, dtype=float)))
@@ -335,7 +378,22 @@ def separable_coefficient(phi: ScalarFunc, psi: MatrixFunc) -> Coefficient:
         w = np.asarray(phi.f(t - np.asarray(us, dtype=float)))
         return w[:, None, None, None] * psi.jac(np.asarray(ys, dtype=float))
 
-    return Coefficient(psi.d_dim, psi.n_dim, eval_many, d3_many, name=f"separable({phi.name},{psi.name})")
+    modes = None
+    if phi.rate is not None:
+        modes = Modes(
+            np.array([phi.rate]),
+            lambda us, ys: psi.value(ys)[..., None, :, :],
+            lambda us, ys, b: psi.jac(ys)[..., None, :, :, :],
+        )
+    return Coefficient(
+        psi.d_dim,
+        psi.n_dim,
+        eval_many,
+        d3_many,
+        name=f"separable({phi.name},{psi.name})",
+        probe_box=((0.0, 1.0), (0.0, 0.0), (-1.0, 1.0)),
+        modes=modes,
+    )
 
 
 def trig_coefficient(
@@ -347,7 +405,11 @@ def trig_coefficient(
     d_dim: int = 1,
     n_dim: int = 1,
 ) -> Coefficient:
-    """sigma[a, b](t, u, y) = amp[a, b] * sin(p t + q u + r . y + phase[a, b])."""
+    """sigma[a, b](t, u, y) = amp[a, b] * sin(p t + q u + r . y + phase[a, b]).
+
+    One mode: sin(p (t - u) + theta + phase) = Re e^(i p (t - u)) e^(i theta) (-i e^(i phase)),
+    with theta = (p + q) u + r . y.
+    """
     amp_m = _promote(amp, _dims(d_dim=d_dim, n_dim=n_dim), "amp")
     phase_m = _promote(phase, (d_dim, n_dim), "phase")
     r = _promote(y_weights, (d_dim,), "y_weights")
@@ -365,4 +427,10 @@ def trig_coefficient(
     def d3_many(t, us, ys):
         return (amp_m * np.cos(angle(t, us, ys)))[:, :, :, None] * r
 
-    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="trig")
+    mode_amp, mode_freq, mode_r = -1j * amp_m * np.exp(1j * phase_m), float(t_freq + u_freq), 1j * r
+
+    def mode(us, ys):
+        return np.exp(1j * (mode_freq * us + ys @ r))[..., None, None, None] * mode_amp
+
+    modes = Modes(np.array([1j * t_freq]), mode, lambda us, ys, b: b[..., None] * mode_r)
+    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="trig", modes=modes)

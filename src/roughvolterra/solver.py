@@ -27,10 +27,12 @@ rough regime is a legitimate outcome rather than an error: only local
 solvability is guaranteed there, and the report marks everything past the
 first window as heuristic continuation.
 
-Cost in grid steps n: a young or rough solve is O(n^2), every row summing
-its earlier cells.  On the uniform grid the singular kernel is Toeplitz, so
-a singular solve is a causal convolution: FFT history and blocked forward
-substitution (`numpy.fft`), O(n log^2 n).
+Cost in grid steps n: a young or rough solve with a built-in coefficient
+family is O(n K), its K exponential modes in the outer time carried as
+running sums; with a custom coefficient or ``separable(linear, .)`` it is
+O(n^2), every row summing its earlier cells.  On the uniform grid the
+singular kernel is Toeplitz, so a singular solve is a causal convolution:
+FFT history and blocked forward substitution (`numpy.fft`), O(n log^2 n).
 
 All reported norms are discrete-grid quantities measured over dyadic time
 lags, hence lower bounds on their continuum counterparts.
@@ -240,12 +242,12 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
     best = 0.0
     lag = 1
     # overflowed iterates reach this diagnostic on the partial-solve path;
-    # their norm is legitimately inf, not an arithmetic error
+    # their norm is legitimately inf (or nan), not an arithmetic error
     with np.errstate(over="ignore", invalid="ignore"):
         while lag <= width:
             mags = _mags(flat[lag:] - flat[:-lag], 1)
             span = float(times[i0 + lag] - times[i0])
-            best = max(best, float(np.max(mags)) / span**mu)
+            best = float(np.maximum(best, np.max(mags) / span**mu))  # a nan stays nan
             lag *= 2
     return best
 
@@ -259,8 +261,10 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
 # only rows < m, so a sweep that writes each row before the next one reads it
 # (Gauss-Seidel) is forward substitution: its first pass is the window's fixed
 # point, and a second pass reads the same inputs and changes nothing.  Only
-# the history and the sweep differ between regimes: `_RowSums` (young, rough)
-# sums each row's cells at t_m, `_Convolution` (singular) convolves.
+# the history and the sweep differ: `_RowSums` (young, rough) sums each row's
+# cells at t_m, `_Modes` (young, rough, coefficients with modes) carries
+# running sums, `_Convolution` (singular) convolves.  Each sweep stops at its
+# first non-finite row, which fails the window attempt.
 # ---------------------------------------------------------------------------
 
 # The most rows a singular sweep solves by the direct row loop, and the most
@@ -272,9 +276,10 @@ LEAF_ROWS = 64
 class _RowSums:
     """Young and rough steps: row m sums the regime's germs of cells [lo, m) frozen at t_m.
 
-    O(n) per row, O(n^2) per solve.  The rough germ also reads
-    y' = sigma(t, t, y), refreshed right after y, through the per-cell
-    product w_l = y'_l . adj_l; the young regime carries neither.
+    O(n) per row, O(n^2) per solve: the path of custom coefficients and of
+    ``separable(linear, .)``, which carry no modes.  The rough germ also
+    reads y' = sigma(t, t, y), refreshed right after y, through the
+    per-cell product w_l = y'_l . adj_l; the young regime carries neither.
     """
 
     def __init__(self, p: VolterraProblem, y: np.ndarray):
@@ -300,12 +305,76 @@ class _RowSums:
             self.w[cells] = np.matmul(self.yp[cells], p.lift.adjacent[cells])
 
     def history(self, start: int, end: int) -> list[np.ndarray]:
-        return [self.rows(m, 0, start + 1) for m in range(start + 1, end + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [self.rows(m, 0, start + 1) for m in range(start + 1, end + 1)]
 
     def sweep(self, start: int, end: int, hist: list[np.ndarray]) -> None:
-        for m, h in zip(range(start + 1, end + 1), hist):
-            self.y[m] = self.p.a + h + self.rows(m, start + 1, m)
-            self.refresh(m, m + 1)
+        y = self.y
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m, h in zip(range(start + 1, end + 1), hist):
+                y[m] = self.p.a + h + self.rows(m, start + 1, m)
+                if not np.isfinite(y[m]).all():
+                    return
+                self.refresh(m, m + 1)
+
+
+class _Modes:
+    """Young and rough steps for sigma = Re sum_k e^(z_k (t - u)) B_k(u, y) (`Modes`).
+
+    Row m is a + Re sum_k Z_k[m], where Z_k[m] sums e^(z_k (t_m - t_l)) g_l
+    over the cells l < m and the per-cell term g_l = B(t_l, y_l) dx_l (plus
+    D_y B(t_l, y_l) . w_l in the rough regime, w_l = y'_l . adj_l) is set
+    once when row l is written.  A window's history is one weighted sum of
+    the accepted cells, weights e^(z (t_(start+1) - t_l)); a sweep carries
+    Z[m + 1] = e^(z h_m) (Z[m] + g_m).  The weights are never split into
+    e^(-z t) e^(z u), so for Re z <= 0 none exceeds 1 in modulus.  One
+    evaluation of B per written row also gives the rough y'_m = Re sum_k
+    B_k(t_m, y_m).  O(n K) per solve.
+    """
+
+    def __init__(self, p: VolterraProblem, y: np.ndarray):
+        modes, n = p.coefficient.modes, p.grid.n_steps
+        self.a, self.y, self.times = p.a, y, p.grid.times
+        self.rates, self.value, self.jac = modes.rates, modes.value, modes.jac
+        # row n closes no cell: a zero increment (and lift) and a unit shift
+        # let it take the same steps as the others
+        self.dx = np.concatenate([p.driver.cells(), np.zeros((1, p.n_dim))])
+        self.shift = np.exp(np.diff(self.times, append=self.times[-1])[:, None, None] * self.rates[:, None])
+        self.g = np.empty((n + 1, len(self.rates), p.d_dim), dtype=np.result_type(self.rates, float))
+        self.yp = self.adj = None
+        if p.regime == "rough":
+            self.yp = np.empty((n + 1, p.d_dim, p.n_dim))
+            self.adj = np.concatenate([p.lift.adjacent, np.zeros((1, p.n_dim, p.n_dim))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.cell(0)
+
+    def cell(self, m: int) -> None:
+        """g[m] and, in the rough regime, y'_m from one evaluation of B at (t_m, y_m)."""
+        u, ym = self.times[m], self.y[m]
+        b = self.value(u, ym)
+        g = b @ self.dx[m]
+        if self.yp is not None:
+            yp = self.yp[m] = np.add.reduce(b.real, 0)
+            w = yp @ self.adj[m]
+            g += self.jac(u, ym, b).reshape(b.shape[:2] + (-1,)) @ w.T.ravel()  # D_y B[k, a, b, c] w[c, b]
+        self.g[m] = g
+
+    def history(self, start: int, end: int) -> np.ndarray:
+        lags = self.times[start + 1] - self.times[: start + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.einsum("lk,lkd->kd", np.exp(lags[:, None] * self.rates), self.g[: start + 1])
+
+    def sweep(self, start: int, end: int, hist: np.ndarray) -> None:
+        y, a, g, shift, cell = self.y, self.a, self.g, self.shift, self.cell
+        finite, add = np.isfinite, np.add.reduce
+        z = hist
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(start + 1, end + 1):
+                y[m] = a + add(z.real, 0)
+                if not finite(y[m]).all():
+                    return
+                cell(m)
+                z = shift[m] * (z + g[m])
 
 
 class _Convolution:
@@ -407,7 +476,12 @@ def solve(
     norm_exponent = p.kappa if p.regime == "singular" else p.gamma
 
     y = np.tile(p.a, (n + 1, 1))
-    steps = _Convolution(p, y) if p.regime == "singular" else _RowSums(p, y)
+    if p.regime == "singular":
+        steps = _Convolution(p, y)
+    elif p.coefficient.modes is not None:
+        steps = _Modes(p, y)
+    else:
+        steps = _RowSums(p, y)
 
     if initial_guess is not None:
         initial_guess = np.asarray(initial_guess, dtype=float)

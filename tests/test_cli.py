@@ -23,8 +23,10 @@ from roughvolterra.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     ExperimentConfig,
+    _build_coefficient,
     main,
 )
+from roughvolterra.coefficients import MATRIX_FUNCS, SCALAR_FUNCS
 
 REPORT_KEYS = ["config", "converged", "windows", "norms", "errors", "timing", "rng"]
 
@@ -342,6 +344,32 @@ class TestGen:
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
+
+
+COEFFICIENT_ENTRIES = {
+    "constant": {"family": "constant", "params": {"value": 0.5}},
+    "linear": {"family": "linear", "params": {"a": 1.0}},
+    "trig": {"family": "trig", "params": {}},
+    **{
+        f"separable-{phi}-{psi}": {"family": "separable", "params": {"phi": {"name": phi}, "psi": {"name": psi}}}
+        for phi in SCALAR_FUNCS
+        for psi in MATRIX_FUNCS
+    },
+}
+
+
+class TestCoefficientDispatch:
+    """A config's coefficient solves by running sums over its modes (O(n)), not by row sums (O(n^2))."""
+
+    def test_entries_cover_every_family(self):
+        with pytest.raises(ValueError, match=r"\(expected constant, linear, separable or trig\)"):
+            _build_coefficient({"family": "unknown"})
+
+    @pytest.mark.parametrize("name", sorted(COEFFICIENT_ENTRIES))
+    def test_builds_with_modes(self, name):
+        entry = COEFFICIENT_ENTRIES[name]
+        linear_phi = entry["family"] == "separable" and entry["params"]["phi"]["name"] == "linear"
+        assert (_build_coefficient(entry).modes is None) == linear_phi
 
 
 class TestSolve:

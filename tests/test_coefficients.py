@@ -234,3 +234,35 @@ class TestBatchingFallbacks:
         got = c.diagonal_many(ts, ys)
         for k in range(6):
             assert np.allclose(got[k], c.eval(ts[k], ts[k], ys[k]))
+
+
+# every built-in family that carries modes: FAMILIES, and each phi with a rate over each state map
+PHI_WITH_RATE = {"one": {}, "exp_decay": {"rate": 2.5}, "cos": {"freq": 3.0}}
+MODAL_BUILDERS = [
+    *(pytest.param(family.values[0], id=family.id) for family in FAMILIES),
+    *(
+        pytest.param(
+            lambda phi=phi, psi=psi: separable_coefficient(scalar_func(phi, **PHI_WITH_RATE[phi]), matrix_func(psi)),
+            id=f"separable-{phi}-{psi}",
+        )
+        for phi in PHI_WITH_RATE
+        for psi in MATRIX_FUNCS
+    ),
+]
+
+
+class TestModes:
+    @pytest.mark.parametrize("build", MODAL_BUILDERS)
+    def test_modes_match_the_batched_formulas(self, build):
+        # Re sum_k e^(z_k (t - u)) B_k(u, y) is sigma, and the same sum of D_y B_k its state derivative
+        c = build()
+        pts = c._probes(16)
+        t, u, y = pts[:, 0], pts[:, 1], pts[:, 2:]
+        weights = np.exp((t - u)[:, None] * c.modes.rates)
+        b = c.modes.value(u, y)
+        sigma = np.einsum("mk,mkdn->mdn", weights, b).real
+        jac = np.einsum("mk,mkdnc->mdnc", weights, c.modes.jac(u, y, b)).real
+        want = c.eval_many(t, u, y)
+        scale = np.abs(want).max()
+        assert np.abs(sigma - want).max() <= 1e-14 * scale
+        assert np.abs(jac - c.d3_many(t, u, y)).max() <= 1e-14 * scale

@@ -11,6 +11,7 @@ margins well away from the measured values.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
 import warnings
@@ -21,6 +22,7 @@ from scipy.integrate import solve_ivp
 
 from roughvolterra.algebra import Grid, Path, path_holder_norm
 from roughvolterra.coefficients import (
+    Coefficient,
     constant_coefficient,
     linear_coefficient,
     matrix_func,
@@ -389,6 +391,123 @@ class TestSingularConvolution:
         assert rep.sweeps == 20
         assert rep.windows[-1].residuals == (np.inf,)
         assert rep.solution.values[286, 0] == pytest.approx(3.55022084e307, rel=1e-8)
+
+
+MODAL_PHI = {
+    "one": lambda: scalar_func("one"),
+    "exp_decay": lambda: scalar_func("exp_decay", rate=2.0),
+    "cos": lambda: scalar_func("cos", freq=3.0),
+}
+MODAL_PSI = {"sin_plus": lambda: matrix_func("sin_plus", shift=1.0), "identity": lambda: matrix_func("identity", d_dim=2)}
+MODAL_FAMILIES = ["constant", "linear", "trig", *(f"{phi}-{psi}" for phi in MODAL_PHI for psi in MODAL_PSI)]
+
+
+def modal_coefficient(family: str) -> Coefficient:
+    """A built-in family by test name: constant, linear (d = 2), trig (d = n = 2) or phi-psi separable."""
+    if family == "constant":
+        return constant_coefficient(0.7)
+    if family == "linear":
+        a = np.array([[[0.5, -0.2], [0.1, 0.3]], [[-0.4, 0.2], [0.6, -0.1]]])
+        return linear_coefficient(a, b=[[0.2, -0.3], [0.1, 0.4]], d_dim=2, n_dim=2)
+    if family == "trig":
+        return trig_coefficient(
+            amp=[[0.5, -0.3], [0.2, 0.4]], t_freq=1.0, u_freq=0.5, y_weights=[0.3, -0.5],
+            phase=[[0.1, 0.7], [-0.4, 1.2]], d_dim=2, n_dim=2,
+        )
+    phi, psi = family.split("-")
+    return separable_coefficient(MODAL_PHI[phi](), MODAL_PSI[psi]())
+
+
+def without_modes(c: Coefficient) -> Coefficient:
+    """The same sigma with no modes: the solver sums its rows."""
+    return dataclasses.replace(c, modes=None, validate=False)
+
+
+@functools.lru_cache(maxsize=None)
+def modal_case(regime: str, n: int, family: str) -> tuple[VolterraProblem, SolverReport]:
+    """A built-in family against fBm (H = 0.75 young; H = 0.4 lifted from a 2x finer grid, rough),
+    with the row-sum solve of the same sigma without its modes, default windows."""
+    sigma = modal_coefficient(family)
+    a = np.linspace(0.5, -0.5, sigma.d_dim)
+    if regime == "young":
+        x = generate_fbm(FbmSpec(hurst=0.75, dim=sigma.n_dim, grid=Grid(1.0, n), seed=7))
+        p = VolterraProblem("young", a, sigma, x, gamma=0.7, kappa=0.9)
+    else:
+        fine = generate_fbm(FbmSpec(hurst=0.4, dim=sigma.n_dim, grid=Grid(1.0, 2 * n), seed=99))
+        x, xx = lift_from_subgrid(fine, 2)
+        p = VolterraProblem("rough", a, sigma, x, gamma=0.38, kappa=0.7, lift=xx)
+    return p, solve(dataclasses.replace(p, coefficient=without_modes(sigma)))
+
+
+def assert_close_relative(got: np.ndarray, want: np.ndarray, rel: float) -> None:
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def assert_settles_on(rep: SolverReport, schedule: list[tuple[int, int]]) -> None:
+    assert rep.converged
+    assert [(w.start, w.end) for w in rep.windows] == schedule
+    assert [w.iterations for w in rep.windows] == [2] * len(schedule)
+    assert all(w.residuals[1] == 0.0 for w in rep.windows)
+
+
+class TestModalSums:
+    """Running sums over a built-in family's modes against the row sums of the same sigma.
+
+    The row-sum reference is solved once per problem, on the default
+    windows: another tiling only reorders its sums.
+    """
+
+    @pytest.mark.parametrize("first", [1, 3, None], ids=["window-1", "window-3", "window-default"])
+    @pytest.mark.parametrize("family", MODAL_FAMILIES)
+    @pytest.mark.parametrize("n", [64, 512, 2048])
+    @pytest.mark.parametrize("regime", ["young", "rough"])
+    def test_matches_row_sums(self, regime, n, family, first):
+        p, rows = modal_case(regime, n, family)
+        assert_settles_on(rows, window_schedule(n, n // 4))
+        # the modal solve never evaluates sigma itself
+        sigma = dataclasses.replace(p.coefficient, validate=False)
+        for method in ("eval_many", "d3_many", "diagonal_many"):
+            setattr(sigma, method, None)
+        rep = solve(dataclasses.replace(p, coefficient=sigma), initial_window=first)
+        assert_settles_on(rep, window_schedule(n, first or n // 4))
+        assert_close_relative(rep.solution.values, rows.solution.values, 1e-12)  # measured <= 2.4e-14
+        if regime == "rough":
+            assert_close_relative(rep.yprime.values, rows.yprime.values, 1e-12)
+
+    def test_fast_decay_stays_finite(self):
+        # e^(1000 u) overflows past u = 0.71; the weights e^(-1000 (t - u)) never exceed 1
+        g = Grid(1.0, 4096)
+        sigma = separable_coefficient(scalar_func("exp_decay", rate=1000.0), matrix_func("sin_plus", shift=1.0))
+        p = VolterraProblem("young", 0.5, sigma, Path(g, np.sin(3.0 * g.times)[:, None]), gamma=1.0, kappa=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(p)
+        rows = solve(dataclasses.replace(p, coefficient=without_modes(sigma)))
+        assert rep.converged and np.isfinite(rep.solution.values).all()
+        assert_close_relative(rep.solution.values, rows.solution.values, 1e-12)
+
+    @pytest.mark.parametrize("path", ["modes", "rows"])
+    def test_overflow_stops_at_the_first_non_finite_row(self, path):
+        # sigma ~ 1e300 against increments of 15.6 overflows in the first
+        # row: windows of 16, 8, 4 and 2 rows and then the one failed row,
+        # without evaluating sigma at a non-finite state (the row sums
+        # printed 57 numpy warnings when they ran on past it)
+        g = Grid(1.0, 64)
+        x = Path(g, 1e3 * np.column_stack([g.times, g.times]))
+        sigma = trig_coefficient(amp=1e300, d_dim=1, n_dim=2)
+        if path == "rows":
+            sigma = Coefficient(1, 2, sigma.eval_many, sigma.d3_many, name="custom trig")
+        p = VolterraProblem("rough", 0.5, sigma, x, gamma=0.5, kappa=0.5, lift=levy_lift_piecewise_linear(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(p)
+        assert rep.solved_steps == 0
+        assert rep.sweeps == 5
+        assert [(w.start, w.end, w.iterations) for w in rep.windows] == [(0, 1, 1)]
+        assert not np.isfinite(rep.windows[0].residuals[0])
+        if path == "rows":
+            assert rep.windows[0].residuals == (np.inf,)
+        assert np.isfinite(rep.solution.values).all()
 
 
 # ---------------------------------------------------------------------------
