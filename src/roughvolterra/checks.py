@@ -352,7 +352,7 @@ def _check_solver(fault: str | None) -> list[CheckResult]:
     rel = abs(rep.solution.values[-1, 0] - 0.5) / 0.5
     out.append(_result("solver", "ramp-error-identity", abs(rel * n - 1.0), 1e-9, detail="rel err = 1/N"))
 
-    # windows tile the horizon and the iteration contracts below tolerance
+    # windows tile the horizon and each a-posteriori window residual is below tolerance
     p = VolterraProblem("young", 1.0, linear_coefficient(1.0), x, gamma=0.75, kappa=0.9)
     rep = solve_young(p)
     tiled = rep.windows[0].start == 0 and rep.windows[-1].end == rep.solved_steps

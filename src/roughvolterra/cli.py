@@ -174,6 +174,22 @@ class ExperimentConfig:
             raise ValueError(f"{regime} regime config requires a '{entry}' entry")
         if regime != "singular" and data.get("kappa") is None:
             raise ValueError(f"{regime} regime config requires a number for 'kappa'")
+        # the field's dimensions are fixed by 'a' and the driver: compare them
+        # before anything is built, so that a huge one allocates nothing
+        a = data["a"]
+        want = {
+            "d_dim": (len(a) if isinstance(a, list) else 1, "len('a')"),
+            "n_dim": (driver.get("dim", 1), "'driver.dim'"),
+        }
+        where = "coefficient.params" if entry == "coefficient" else "kernel.psi_params"
+        params = data[entry].get(where.split(".")[1], {})
+        sections = {where: params}
+        sections.update({f"{where}.{k}": params[k] for k in ("phi", "psi") if isinstance(params.get(k), dict)})
+        for name, section in sections.items():
+            for key, (size, source) in want.items():
+                value = section.get(key)
+                if isinstance(value, int) and not isinstance(value, bool) and value != size:
+                    raise ValueError(f"config entry '{name}.{key}' is {value}, but {source} is {size}")
 
         rate = data.get("rate", {})
         if rate.get("mode", "self") not in ("oracle", "self"):

@@ -12,20 +12,17 @@ second-order sums driven by a Lévy-area lift for exponents in (1/3, 1/2]
 ('rough').
 
 The map is strictly causal: row m reads only rows before it.  The solve
-runs window by window.  Each window starts from the constant extension of
-the previously accepted endpoint and sweeps its rows in order, writing
-each one before the next reads it, so the first sweep is forward
-substitution onto the window's fixed point and a second sweep confirms it
-(its sup-norm update is exactly zero).  A window is accepted when a
-sweep's update drops below tolerance, so it takes two sweeps, or one if
-the start is already exact; there is no iteration budget.  A window halves
-its length when a sweep turns non-finite, and grows by half after success
-(capped at half the horizon).
-A window that fails at one grid cell ends the solve; the report then
-carries the partial solution up to the last accepted time, which for the
-rough regime is a legitimate outcome rather than an error: only local
-solvability is guaranteed there, and the report marks everything past the
-first window as heuristic continuation.
+runs window by window, one sweep each, writing every row before the next
+reads it: forward substitution onto the window's fixed point, with no
+iteration budget.  A finite sweep is accepted, with an a-posteriori
+residual max |a + I(y)_m - y_m| summed by another route, and the next
+window is half as long again (capped at half the horizon).  A sweep that
+turns non-finite at row r accepts the rows before r and ends the solve
+with a failed one-cell window [r - 1, r].  The report then carries the
+partial solution up to the last accepted time, which for the rough regime
+is a legitimate outcome rather than an error: only local solvability is
+guaranteed there, and the report marks everything past the first window
+as heuristic continuation.
 
 Cost in grid steps n: a young or rough solve with a built-in coefficient
 family is O(n K), its K exponential modes in the outer time carried as
@@ -187,23 +184,19 @@ def validate_problem(p: VolterraProblem) -> None:
 
 @dataclass(frozen=True)
 class WindowRecord:
-    """One continuation window: indices, each sweep's sup-norm update, Hölder norm of the last sweep."""
+    """One continuation window: indices, a-posteriori residual and Hölder norm (both inf if it failed)."""
 
     start: int
     end: int
     t_start: float
     t_end: float
     converged: bool
-    residuals: tuple[float, ...]
+    final_residual: float
     holder_norm: float
 
     @property
     def iterations(self) -> int:
-        return len(self.residuals)
-
-    @property
-    def final_residual(self) -> float:
-        return self.residuals[-1]
+        return 1  # one forward-substitution sweep per window
 
 
 @dataclass(frozen=True)
@@ -216,9 +209,9 @@ class SolverReport:
     ``proven_horizon`` is the horizon backed by a genuine contraction
     window; for the rough regime anything beyond the first window is a
     heuristic extension and ``extension_heuristic`` says whether the
-    solve used one.  ``sweeps`` counts every sweep the solve ran, those of
-    window attempts discarded by halving included; ``windows`` records only
-    the accepted windows and the final failed one.
+    solve used one.  ``sweeps`` counts the window passes, one sweep each;
+    ``windows`` records the accepted windows and, when a sweep turned
+    non-finite, the failed cell it stopped at.
     """
 
     regime: Regime
@@ -241,8 +234,8 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
     flat = values[i0 : i1 + 1].reshape(width + 1, -1)
     best = 0.0
     lag = 1
-    # overflowed iterates reach this diagnostic on the partial-solve path;
-    # their norm is legitimately inf (or nan), not an arithmetic error
+    # finite values near the float ceiling can overflow in their increments;
+    # their norm is legitimately inf, not an arithmetic error
     with np.errstate(over="ignore", invalid="ignore"):
         while lag <= width:
             mags = _mags(flat[lag:] - flat[:-lag], 1)
@@ -257,20 +250,26 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
 #   (Gamma y)_m = a + sum over cells l < m of the regime's germ at outer time t_m.
 # Cell l reads the state at its left point, so once the solution is accepted
 # up to `start` the cells l <= start no longer move: a window sums them once
-# (its history) and each sweep adds the moving cells (start, m).  Row m reads
+# (its history) and its sweep adds the moving cells (start, m).  Row m reads
 # only rows < m, so a sweep that writes each row before the next one reads it
-# (Gauss-Seidel) is forward substitution: its first pass is the window's fixed
-# point, and a second pass reads the same inputs and changes nothing.  Only
-# the history and the sweep differ: `_RowSums` (young, rough) sums each row's
-# cells at t_m, `_Modes` (young, rough, coefficients with modes) carries
-# running sums, `_Convolution` (singular) convolves.  Each sweep stops at its
-# first non-finite row, which fails the window attempt.
+# is forward substitution onto the window's fixed point; it returns its first
+# non-finite row.  `_RowSums` (young, rough) sums each row's cells at t_m,
+# `_Modes` (young, rough, coefficients with modes) carries running sums,
+# `_Convolution` (singular) convolves.  Each residual recomputes the window's
+# cells from y and sums them by another route than the sweep.
 # ---------------------------------------------------------------------------
 
-# The most rows a singular sweep solves by the direct row loop, and the most
-# rows whose history it sums row by row; larger blocks split in two, larger
-# histories take one FFT.
+# The most rows a singular sweep solves by the direct row loop; larger blocks split in two.
 LEAF_ROWS = 64
+
+
+def _causal(weights: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Rows i < len(cells) of the sum over j <= i of weights[i - j] cells[j]: one zero-padded FFT on axis 0."""
+    rows = len(cells)
+    size = 1 << (2 * rows - 2).bit_length()  # no wrap into the first `rows` outputs
+    real = not (np.iscomplexobj(weights) or np.iscomplexobj(cells))
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    return inv(fwd(weights[:rows], size, axis=0) * fwd(cells, size, axis=0), size, axis=0)[:rows]
 
 
 class _RowSums:
@@ -289,13 +288,13 @@ class _RowSums:
         if p.regime == "rough":
             n = p.grid.n_steps
             self.yp = np.empty((n + 1, p.d_dim, p.n_dim))
-            self.w = w = np.empty((n, p.d_dim, p.n_dim))
+            self.w = np.empty((n, p.d_dim, p.n_dim))
             self.refresh(0, n + 1)
-            self.rows = lambda m, lo, hi: rough_row_sum(
+            self.rows = lambda m, lo, hi, w=self.w: rough_row_sum(
                 coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi], w[lo:hi]
             )
         else:
-            self.rows = lambda m, lo, hi: young_row_sum(coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi])
+            self.rows = lambda m, lo, hi, w=None: young_row_sum(coeff, times[m], times[lo:hi], dx[lo:hi], y[lo:hi])
 
     def refresh(self, lo: int, hi: int) -> None:
         if self.yp is not None:
@@ -308,14 +307,24 @@ class _RowSums:
         with np.errstate(over="ignore", invalid="ignore"):
             return [self.rows(m, 0, start + 1) for m in range(start + 1, end + 1)]
 
-    def sweep(self, start: int, end: int, hist: list[np.ndarray]) -> None:
+    def sweep(self, start: int, end: int, hist: list[np.ndarray]) -> int | None:
         y = self.y
         with np.errstate(over="ignore", invalid="ignore"):
             for m, h in zip(range(start + 1, end + 1), hist):
                 y[m] = self.p.a + h + self.rows(m, start + 1, m)
                 if not np.isfinite(y[m]).all():
-                    return
+                    return m
                 self.refresh(m, m + 1)
+        return None
+
+    def residual(self, start: int, end: int, hist: list[np.ndarray]) -> float:
+        p, y, w = self.p, self.y, self.w
+        with np.errstate(over="ignore", invalid="ignore"):
+            if w is not None:  # the window's y' and w afresh from y
+                yp = p.coefficient.diagonal_many(p.grid.times[start + 1 : end], y[start + 1 : end])
+                w = np.concatenate([w[: start + 1], np.matmul(yp, p.lift.adjacent[start + 1 : end])])
+            rows = [p.a + self.rows(m, 0, m, w) for m in range(start + 1, end + 1)]
+            return float(np.max(np.abs(np.array(rows) - y[start + 1 : end + 1])))
 
 
 class _Modes:
@@ -329,7 +338,9 @@ class _Modes:
     Z[m + 1] = e^(z h_m) (Z[m] + g_m).  The weights are never split into
     e^(-z t) e^(z u), so for Re z <= 0 none exceeds 1 in modulus.  One
     evaluation of B per written row also gives the rough y'_m = Re sum_k
-    B_k(t_m, y_m).  O(n K) per solve.
+    B_k(t_m, y_m).  O(n K) per solve.  A residual recomputes the window's
+    cells in one batch and convolves them with e^(z t_k) by FFT, as the
+    uniform grid has t_m - t_l = t_(m-l).
     """
 
     def __init__(self, p: VolterraProblem, y: np.ndarray):
@@ -346,35 +357,52 @@ class _Modes:
             self.yp = np.empty((n + 1, p.d_dim, p.n_dim))
             self.adj = np.concatenate([p.lift.adjacent, np.zeros((1, p.n_dim, p.n_dim))])
         with np.errstate(over="ignore", invalid="ignore"):
-            self.cell(0)
+            self.store(0)
 
-    def cell(self, m: int) -> None:
-        """g[m] and, in the rough regime, y'_m from one evaluation of B at (t_m, y_m)."""
-        u, ym = self.times[m], self.y[m]
-        b = self.value(u, ym)
-        g = b @ self.dx[m]
-        if self.yp is not None:
-            yp = self.yp[m] = np.add.reduce(b.real, 0)
-            w = yp @ self.adj[m]
-            g += self.jac(u, ym, b).reshape(b.shape[:2] + (-1,)) @ w.T.ravel()  # D_y B[k, a, b, c] w[c, b]
-        self.g[m] = g
+    def store(self, m: int) -> None:
+        g, yp = self.cells(m, m + 1)
+        self.g[m] = g[0]
+        if yp is not None:
+            self.yp[m] = yp[0]
+
+    def cells(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """g[lo:hi] and, in the rough regime, y'[lo:hi], from one evaluation of B at (t_m, y_m)."""
+        us, ys = self.times[lo:hi], self.y[lo:hi]
+        b = self.value(us, ys)
+        g = (b @ self.dx[lo:hi, None, :, None])[..., 0]
+        if self.yp is None:
+            return g, None
+        yp = np.add.reduce(b.real, 1)
+        w = (yp @ self.adj[lo:hi]).swapaxes(1, 2).reshape(hi - lo, 1, -1, 1)
+        g += (self.jac(us, ys, b).reshape(b.shape[:3] + (-1,)) @ w)[..., 0]  # D_y B[k, a, b, c] w[c, b]
+        return g, yp
 
     def history(self, start: int, end: int) -> np.ndarray:
         lags = self.times[start + 1] - self.times[: start + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             return np.einsum("lk,lkd->kd", np.exp(lags[:, None] * self.rates), self.g[: start + 1])
 
-    def sweep(self, start: int, end: int, hist: np.ndarray) -> None:
-        y, a, g, shift, cell = self.y, self.a, self.g, self.shift, self.cell
+    def sweep(self, start: int, end: int, hist: np.ndarray) -> int | None:
+        y, a, g, shift, store = self.y, self.a, self.g, self.shift, self.store
         finite, add = np.isfinite, np.add.reduce
         z = hist
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(start + 1, end + 1):
                 y[m] = a + add(z.real, 0)
                 if not finite(y[m]).all():
-                    return
-                cell(m)
+                    return m
+                store(m)
                 z = shift[m] * (z + g[m])
+        return None
+
+    def residual(self, start: int, end: int, hist: np.ndarray) -> float:
+        y, rows = self.y, end - start
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.exp(self.times[:rows, None] * self.rates)[:, :, None]
+            z = weights * hist
+            if rows > 1:  # a one-row window has no cells of its own
+                z[1:] += _causal(weights[1:], self.cells(start + 1, end)[0])
+            return float(np.max(np.abs(self.a + np.add.reduce(z.real, 1) - y[start + 1 : end + 1])))
 
 
 class _Convolution:
@@ -385,15 +413,12 @@ class _Convolution:
     g_l = psi(y_l) dx_l once when row l is written.  A window's history is
     one FFT middle product.  A sweep is the recursion of Hairer, Lubich and
     Schlichte (1985): solve the left half of a block, add its cells to the
-    right half with one FFT, solve the right half.  Blocks of at most
-    `LEAF_ROWS` rows, and the history of windows that short, are summed row
-    by row instead.  O(n log^2 n) per solve.
+    right half with one FFT, solve the right half; blocks of at most
+    `LEAF_ROWS` rows are solved row by row.  O(n log^2 n) per solve.
 
-    Values near the float ceiling overflow to inf silently, as in the
-    einsum of a row sum.  An FFT spreads a non-finite cell over its block as
-    nan, so a sweep stops at its first non-finite row, which fails the
-    window attempt; a failed window is recorded only at one row, whose
-    history is summed directly.
+    Values near the float ceiling overflow to inf silently, as in a row
+    sum.  An FFT spreads a non-finite cell over its block as nan, so a sweep
+    stops at its first non-finite row, whose predecessors read finite cells.
     """
 
     yp = None
@@ -410,30 +435,36 @@ class _Convolution:
 
     def history(self, start: int, end: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            if end - start > LEAF_ROWS:
-                return self.a + self._convolve(0, start + 1, end + 1)
-            cells = self.g[: start + 1]
-            return np.array([self.a + self.K[m - start : m + 1][::-1] @ cells for m in range(start + 1, end + 1)])
+            return self.a + self._convolve(0, start + 1, end + 1)
 
-    def sweep(self, start: int, end: int, hist: np.ndarray) -> None:
+    def sweep(self, start: int, end: int, hist: np.ndarray) -> int | None:
         self.acc[start + 1 : end + 1] = hist
         with np.errstate(over="ignore", invalid="ignore"):
-            self._solve(start + 1, end + 1)
+            return self._solve(start + 1, end + 1)
 
-    def _solve(self, lo: int, hi: int) -> bool:
-        """Write rows [lo, hi), whose ``acc`` holds every cell before ``lo``; False at a non-finite row."""
+    def residual(self, start: int, end: int, hist: np.ndarray) -> float:
+        y, rows = self.y, end - start
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = (self.psi(y[start + 1 : end]) @ self.dx[start + 1 : end, :, None])[..., 0]
+            out = hist[:rows].copy()
+            out[1:] += _causal(self.K[1:rows, None], cells)
+            return float(np.max(np.abs(out - y[start + 1 : end + 1])))
+
+    def _solve(self, lo: int, hi: int) -> int | None:
+        """Write rows [lo, hi), whose ``acc`` holds every cell before ``lo``; the first non-finite row, if any."""
         if hi - lo <= LEAF_ROWS:
             y, g, K, acc, psi, dx, cells = self.y, self.g, self.K, self.acc, self.psi, self.dx, len(self.g)
             for m in range(lo, hi):
                 y[m] = acc[m] + K[m - lo : 0 : -1] @ g[lo:m]
                 if not np.isfinite(y[m]).all():
-                    return False
+                    return m
                 if m < cells:
                     g[m] = psi(y[m]) @ dx[m]
-            return True
+            return None
         mid = (lo + hi) // 2
-        if not self._solve(lo, mid):
-            return False
+        bad = self._solve(lo, mid)
+        if bad is not None:
+            return bad
         self.acc[mid:hi] += self._convolve(lo, mid, hi)
         return self._solve(mid, hi)
 
@@ -461,34 +492,25 @@ def solve(
     """Fixed point of the problem's Picard map, window by window.
 
     ``tol`` defaults by driver (`DEFAULT_TOL_FBM` for fBm, otherwise
-    `DEFAULT_TOL_SMOOTH`); ``initial_window`` defaults to a quarter of the
-    grid; ``initial_guess`` replaces the constant start of the first window.
-    A window is accepted once a sweep changes it by less than ``tol``:
-    forward substitution and one confirming sweep, whose update is zero.
+    `DEFAULT_TOL_SMOOTH`) and is echoed into the report, where each
+    window's residual can be compared with it; ``initial_window`` defaults
+    to a quarter of the grid.  Each window is one forward-substitution
+    sweep, which writes every row before it reads it, so ``initial_guess``
+    is only shape-checked: the fixed point does not depend on it.
     """
     if tol is None:
         tol = DEFAULT_TOL_FBM if p.driver_meta and "hurst" in p.driver_meta else DEFAULT_TOL_SMOOTH
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    grid = p.grid
-    n = grid.n_steps
-    times = grid.times
+    grid, n, times = p.grid, p.grid.n_steps, p.grid.times
     norm_exponent = p.kappa if p.regime == "singular" else p.gamma
 
     y = np.tile(p.a, (n + 1, 1))
-    if p.regime == "singular":
-        steps = _Convolution(p, y)
-    elif p.coefficient.modes is not None:
-        steps = _Modes(p, y)
-    else:
-        steps = _RowSums(p, y)
+    kind = _Convolution if p.regime == "singular" else _RowSums if p.coefficient.modes is None else _Modes
+    steps = kind(p, y)
 
-    if initial_guess is not None:
-        initial_guess = np.asarray(initial_guess, dtype=float)
-        if initial_guess.shape != y.shape:
-            raise ValueError(
-                f"initial guess must have shape {y.shape}, got {initial_guess.shape}"
-            )
+    if initial_guess is not None and np.shape(initial_guess) != y.shape:
+        raise ValueError(f"initial guess must have shape {y.shape}, got {np.shape(initial_guess)}")
 
     windows: list[WindowRecord] = []
     sweeps = 0
@@ -499,41 +521,18 @@ def solve(
     cap = max(n // 2, 1)
 
     while start < n:
-        # attempts write the state in place: a sweep reads only rows <= start and
-        # rows it has written, and a retry or the tail overwrites a failed attempt
         end = min(start + window, n)
         hist = steps.history(start, end)
-        if initial_guess is not None:  # the first attempt only
-            y[start + 1 : end + 1] = initial_guess[start + 1 : end + 1]
-            initial_guess = None
-        else:
-            y[start + 1 : end + 1] = y[start]
-        residuals: list[float] = []
-        for _ in range(2):  # forward substitution, then the confirming sweep
-            before = y[start + 1 : end + 1].copy()
-            steps.sweep(start, end, hist)
-            residuals.append(float(np.max(np.abs(y[start + 1 : end + 1] - before))))
-            if not np.isfinite(residuals[-1]) or residuals[-1] < tol:
-                break
-        sweeps += len(residuals)
-        ok = residuals[-1] < tol
-        if not ok and window > 1:
-            window //= 2
-            continue
-        windows.append(
-            WindowRecord(
-                start=start,
-                end=end,
-                t_start=float(times[start]),
-                t_end=float(times[end]),
-                converged=ok,
-                residuals=tuple(residuals),
-                holder_norm=_segment_holder(times, y, start, end, norm_exponent),
-            )
-        )
-        if not ok:
+        bad = steps.sweep(start, end, hist)
+        sweeps += 1
+        last = end if bad is None else bad - 1  # the map is causal: the rows before `bad` are exact
+        if last > start:
+            fit = steps.residual(start, last, hist), _segment_holder(times, y, start, last, norm_exponent)
+            windows.append(WindowRecord(start, last, float(times[start]), float(times[last]), True, *fit))
+            start = last
+        if bad is not None:
+            windows.append(WindowRecord(start, bad, float(times[start]), float(times[bad]), False, np.inf, np.inf))
             break
-        start = end
         window = min(int(window * 1.5), cap)
 
     solved_steps = start

@@ -98,6 +98,10 @@ def fbm_rough_config(n_steps: int = 128) -> dict:
     }
 
 
+# a coefficient dimension past any allocation: it must be refused before anything is built
+HUGE_DIM = 2**53 + 1
+
+
 def fbm_driver(n_steps: int | None = None, **entries):
     """A config edit: a 1-D fbm driver with ``entries``, and ``n_steps`` grid steps if given."""
 
@@ -270,6 +274,12 @@ class TestConfig:
             (fbm_driver(dim=2**21, n_steps=16), "'driver.dim'"),
             (lambda d: d.update(solver={"max_iter": 60}), "unknown config key 'solver.max_iter'"),
             (lambda d: d.update(kappa=1e300), "kappa <= 1"),
+            (lambda d: d["coefficient"].update(family="constant", params={"value": 0.5, "n_dim": HUGE_DIM}), "'coefficient.params.n_dim'"),
+            (lambda d: d["coefficient"]["params"].update(n_dim=HUGE_DIM), "'coefficient.params.n_dim'"),
+            (lambda d: d["coefficient"]["params"].update(d_dim=HUGE_DIM), "'coefficient.params.d_dim'"),
+            (lambda d: d["coefficient"].update(family="linear", params={"a": 1.0, "d_dim": HUGE_DIM}), "'coefficient.params.d_dim'"),
+            (lambda d: d["coefficient"].update(family="separable", params={"phi": {"name": "one"}, "psi": {"name": "identity", "d_dim": HUGE_DIM}}), "'coefficient.params.psi.d_dim'"),
+            (singular_kernel(psi="identity", psi_params={"d_dim": HUGE_DIM}), "'kernel.psi_params.d_dim'"),
         ],
         ids=[
             "gamma-null", "grid-without-horizon", "unknown-trig-param", "phi-without-name", "unknown-phi-param",
@@ -279,7 +289,8 @@ class TestConfig:
             "family-list", "phi-name-list", "a-object", "d-dim-string", "a-string", "seed-negative",
             "builtin-dim-zero", "builtin-grid-over-size-limit", "lifted-grid-over-size-limit", "t-freq-list",
             "amp-true", "psi-params-name", "builtin-dim-over-size-limit", "fbm-dim-over-size-limit",
-            "max-iter-unknown", "kappa-huge",
+            "max-iter-unknown", "kappa-huge", "constant-n-dim-huge", "trig-n-dim-huge", "trig-d-dim-huge",
+            "linear-d-dim-huge", "identity-psi-d-dim-huge", "kernel-psi-d-dim-huge",
         ],
     )
     def test_malformed_config_exits_invalid_naming_the_field(self, tmp_path, capsys, edit, named):
