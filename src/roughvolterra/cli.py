@@ -175,7 +175,10 @@ class ExperimentConfig:
         if regime != "singular" and data.get("kappa") is None:
             raise ValueError(f"{regime} regime config requires a number for 'kappa'")
         # the field's dimensions are fixed by 'a' and the driver: compare them
-        # before anything is built, so that a huge one allocates nothing
+        # before anything is built, so that a huge one allocates nothing.
+        # This repeats, on the raw config, the shape comparison of
+        # solver.validate_problem, which still guards the built problem; a
+        # change to either must keep the two in step.
         a = data["a"]
         want = {
             "d_dim": (len(a) if isinstance(a, list) else 1, "len('a')"),

@@ -320,10 +320,10 @@ class _RowSums:
     def residual(self, start: int, end: int, hist: list[np.ndarray]) -> float:
         p, y, w = self.p, self.y, self.w
         with np.errstate(over="ignore", invalid="ignore"):
-            if w is not None:  # the window's y' and w afresh from y
+            if w is not None:  # the window's y' and w afresh from y, in one batch
                 yp = p.coefficient.diagonal_many(p.grid.times[start + 1 : end], y[start + 1 : end])
                 w = np.concatenate([w[: start + 1], np.matmul(yp, p.lift.adjacent[start + 1 : end])])
-            rows = [p.a + self.rows(m, 0, m, w) for m in range(start + 1, end + 1)]
+            rows = [p.a + h + self.rows(m, start + 1, m, w) for m, h in zip(range(start + 1, end + 1), hist)]
             return float(np.max(np.abs(np.array(rows) - y[start + 1 : end + 1])))
 
 
@@ -527,7 +527,8 @@ def solve(
         sweeps += 1
         last = end if bad is None else bad - 1  # the map is causal: the rows before `bad` are exact
         if last > start:
-            fit = steps.residual(start, last, hist), _segment_holder(times, y, start, last, norm_exponent)
+            scale = max(1.0, float(np.max(np.abs(y[start : last + 1]))))
+            fit = steps.residual(start, last, hist) / scale, _segment_holder(times, y, start, last, norm_exponent)
             windows.append(WindowRecord(start, last, float(times[start]), float(times[last]), True, *fit))
             start = last
         if bad is not None:
