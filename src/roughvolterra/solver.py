@@ -14,8 +14,8 @@ second-order sums driven by a Lévy-area lift for exponents in (1/3, 1/2]
 The map is strictly causal: row m reads only rows before it.  The solve
 runs window by window, one sweep each, writing every row before the next
 reads it: forward substitution onto the window's fixed point, with no
-iteration budget.  A finite sweep is accepted, with an a-posteriori
-residual max |a + I(y)_m - y_m| summed by another route, and the next
+iteration budget.  A finite sweep is accepted, with the a-posteriori
+residual max |a + I(y)_m - y_m| / max(1, max |y|) over its rows, and the next
 window is half as long again (capped at half the horizon).  A sweep that
 turns non-finite at row r accepts the rows before r and ends the solve
 with a failed one-cell window [r - 1, r].  The report then carries the
@@ -256,7 +256,7 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
 # non-finite row.  `_RowSums` (young, rough) sums each row's cells at t_m,
 # `_Modes` (young, rough, coefficients with modes) carries running sums,
 # `_Convolution` (singular) convolves.  Each residual recomputes the window's
-# cells from y and sums them by another route than the sweep.
+# cells from y in one batch; `_Modes` and `_Convolution` sum them by FFT.
 # ---------------------------------------------------------------------------
 
 # The most rows a singular sweep solves by the direct row loop; larger blocks split in two.
@@ -492,11 +492,11 @@ def solve(
     """Fixed point of the problem's Picard map, window by window.
 
     ``tol`` defaults by driver (`DEFAULT_TOL_FBM` for fBm, otherwise
-    `DEFAULT_TOL_SMOOTH`) and is echoed into the report, where each
-    window's residual can be compared with it; ``initial_window`` defaults
-    to a quarter of the grid.  Each window is one forward-substitution
-    sweep, which writes every row before it reads it, so ``initial_guess``
-    is only shape-checked: the fixed point does not depend on it.
+    `DEFAULT_TOL_SMOOTH`); the report reads each window's residual against
+    it, and a finite sweep is accepted whatever its residual.
+    ``initial_window`` defaults to a quarter of the grid.  A window's one
+    sweep writes every row before it reads it, so ``initial_guess`` is
+    only shape-checked: the fixed point does not depend on it.
     """
     if tol is None:
         tol = DEFAULT_TOL_FBM if p.driver_meta and "hurst" in p.driver_meta else DEFAULT_TOL_SMOOTH
