@@ -289,47 +289,25 @@ def sup_norm(p: Path) -> float:
     return float(np.max(_mags(p.values, len(p.value_shape))))
 
 
-def split_holder_norm(
-    h: Increment3,
-    rho_left: float,
-    rho_right: float,
-    max_exhaustive: int = 256,
-) -> float:
+def split_holder_norm(h: Increment3, rho_left: float, rho_right: float) -> float:
     """Two-exponent norm of a three-index increment.
 
     Computes ``sup |h(i, j, k)| / ((t_j - t_i)^rho_left (t_k - t_j)^rho_right)``
-    over strictly increasing triples.  The supremum is exhaustive up to
-    ``max_exhaustive`` grid steps; beyond that only dyadically strided
-    triples are visited, which keeps the cost near-quadratic while still
-    sweeping every scale pair.
+    by an exhaustive scan of the strictly increasing triples i < j < k,
+    O(n^3) in grid steps n (one batched (j, k) block per i).
     """
     n = h.grid.n_steps
     t = h.grid.times
     vndim = len(h.value_shape)
     best = 0.0
-
-    def scan(i: int, js: np.ndarray, ks: np.ndarray) -> float:
+    for i in range(n - 1):
+        js, ks = np.arange(i + 1, n), np.arange(i + 2, n + 1)
         dtj = t[js][:, None] - t[i]
         dtk = t[ks][None, :] - t[js][:, None]
         valid = dtk > 0
-        if not np.any(valid):
-            return 0.0
-        vals = h.fn(i, js[:, None], ks[None, :])
-        mags = _mags(vals, vndim)
+        mags = _mags(h.fn(i, js[:, None], ks[None, :]), vndim)
         weights = np.where(valid, dtj**rho_left * np.where(valid, dtk, 1.0) ** rho_right, np.inf)
-        return float(np.max(mags / weights))
-
-    if n <= max_exhaustive:
-        for i in range(n - 1):
-            js = np.arange(i + 1, n)
-            ks = np.arange(i + 2, n + 1)
-            best = max(best, scan(i, js, ks))
-    else:
-        strides = [1 << m for m in range((n - 1).bit_length())]
-        for i in range(n - 1):
-            js = np.unique(np.concatenate([[i + s for s in strides if i + s < n]]))
-            ks = np.arange(i + 2, n + 1)
-            best = max(best, scan(i, np.asarray(js), ks))
+        best = max(best, float(np.max(mags / weights)))
     return best
 
 

@@ -392,9 +392,21 @@ def _out_dir(args) -> str:
     return os.environ.get("ROUGHVOLTERRA_OUT", ".")
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float (a failed window's inf residual, say) as None."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _write_json(path: str, obj: dict) -> None:
+    """``obj`` as standard JSON: non-finite floats are written as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(_finite_or_null(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

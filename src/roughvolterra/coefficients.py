@@ -17,9 +17,10 @@ fast rather than corrupting a long solve.
 
 Built-in families: constant, linear in the state, separable
 phi(t - u) * psi(y), and trigonometric.  Each depends on the outer time
-only through exponentials e^(z (t - u)); they carry that form as `Modes`,
-which lets the solver sum earlier cells by running sums.  ``separable``
-with phi ``linear`` and custom coefficients carry none.
+only through lag-weighted exponentials (t - u)^p e^(z (t - u)), p in
+{0, 1}, and is defined by that form alone, as `Modes`: its ``eval_many``
+and ``d3_many`` are the modal sums, and the solver sums earlier cells by
+running sums over the modes.  Custom coefficients carry no modes.
 """
 from __future__ import annotations
 
@@ -47,15 +48,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarFunc:
-    """A smooth scalar function of one variable, applied elementwise.
-
-    ``rate`` is the exponent z with f(v) = Re e^(z v), for the functions
-    that are one exponential, else None.
-    """
+    """A scalar function of the lag v = t - u, f(v) = Re v^power e^(rate v), power 0 or 1."""
 
     name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    rate: complex | None = None
+    rate: complex
+    power: int
 
 
 @dataclass(frozen=True)
@@ -126,21 +123,21 @@ def _promote(value, shape: tuple, name: str) -> np.ndarray:
 
 
 def _one():
-    return ScalarFunc("one", lambda v: np.ones_like(np.asarray(v, dtype=float)), 0.0)
+    return ScalarFunc("one", 0.0, 0)
 
 
 def _linear():
-    return ScalarFunc("linear", lambda v: np.asarray(v, dtype=float))
+    return ScalarFunc("linear", 0.0, 1)
 
 
 def _exp_decay(rate: float = 1.0):
     rate = _promote(rate, (), "rate")
-    return ScalarFunc(f"exp_decay({rate})", lambda v: np.exp(-rate * np.asarray(v, dtype=float)), -float(rate))
+    return ScalarFunc(f"exp_decay({rate})", -float(rate), 0)
 
 
 def _cos(freq: float = 1.0):
     freq = _promote(freq, (), "freq")
-    return ScalarFunc(f"cos({freq})", lambda v: np.cos(freq * np.asarray(v, dtype=float)), 1j * float(freq))
+    return ScalarFunc(f"cos({freq})", 1j * float(freq), 0)
 
 
 SCALAR_FUNCS = {"one": _one, "linear": _linear, "exp_decay": _exp_decay, "cos": _cos}
@@ -209,15 +206,17 @@ MATRIX_FUNCS = {"ones": _ones_map, "identity": _identity_map, "sin_plus": _sin_p
 
 @dataclass(frozen=True)
 class Modes:
-    """sigma(t, u, y) = Re sum_k e^(rates[k] (t - u)) B_k(u, y): the outer time as exact exponentials.
+    """sigma(t, u, y) = Re sum_k (t - u)^powers[k] e^(rates[k] (t - u)) B_k(u, y): the outer time, exactly.
 
-    ``value(us, ys)`` returns B, shape (..., K, d, n), for inner times
-    ``us`` (...) and states ``ys`` (..., d); ``jac(us, ys, b)`` returns the
-    state derivative D_y B, shape (..., K, d, n, d), given
-    ``b = value(us, ys)``.  B is real when ``rates`` is.
+    ``powers`` holds one lag power per mode, 0 or 1.  ``value(us, ys)``
+    returns B, shape (..., K, d, n), for inner times ``us`` (...) and
+    states ``ys`` (..., d); ``jac(us, ys, b)`` returns the state derivative
+    D_y B, shape (..., K, d, n, d), given ``b = value(us, ys)``.  B is real
+    when ``rates`` is.
     """
 
     rates: np.ndarray
+    powers: np.ndarray
     value: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
     jac: Callable[[float | np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
@@ -231,8 +230,9 @@ class Coefficient:
     for inner times ``us`` (m,) and states ``ys`` (m, d).  The outer time
     ``t`` is one float or an (m,) array matched with ``us``.
 
-    ``modes``, when set, is the same sigma as `Modes`; the built-in
-    families set it, and it must agree with ``eval_many`` and ``d3_many``.
+    ``modes``, when set, is the same sigma as `Modes`.  The built-in
+    families are defined by their modes alone and derive ``eval_many`` and
+    ``d3_many`` from them; custom coefficients set none.
 
     Construction runs a central-difference consistency probe over
     ``probe_box`` unless ``validate=False``; see `check_derivatives`.
@@ -320,80 +320,70 @@ def _halton(n_points: int, dim: int) -> np.ndarray:
     return out
 
 
+def _from_modes(d_dim: int, n_dim: int, modes: Modes, name: str, **opts) -> Coefficient:
+    """The coefficient whose sigma is ``modes``.
+
+    sigma = Re sum_k (t - u)^p_k e^(z_k (t - u)) B_k(u, y), and D_y sigma
+    is the same sum over D_y B_k.
+    """
+
+    def modal_sum(of_b):
+        def many(t, us, ys):
+            us, ys = np.asarray(us, dtype=float), np.asarray(ys, dtype=float)
+            lags = (t - us)[:, None]
+            return np.einsum("mk,mk...->m...", lags**modes.powers * np.exp(lags * modes.rates), of_b(us, ys)).real
+
+        return many
+
+    d3_many = modal_sum(lambda us, ys: modes.jac(us, ys, modes.value(us, ys)))
+    return Coefficient(d_dim, n_dim, modal_sum(modes.value), d3_many, name=name, modes=modes, **opts)
+
+
 def constant_coefficient(value, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
-    """sigma(t, u, y) = C."""
+    """sigma(t, u, y) = C: one mode, z = 0, B = C."""
     c = _promote(value, _dims(d_dim=d_dim, n_dim=n_dim), "value")
     zero3 = np.zeros(c.shape + (d_dim,))
-
-    def eval_many(t, us, ys):
-        return np.broadcast_to(c, (len(us),) + c.shape).copy()
-
-    def d3_many(t, us, ys):
-        return np.broadcast_to(zero3, (len(us),) + zero3.shape).copy()
-
     modes = Modes(
         np.zeros(1),
+        np.zeros(1, dtype=int),
         lambda us, ys: np.broadcast_to(c, np.shape(us) + (1,) + c.shape),
         lambda us, ys, b: np.broadcast_to(zero3, np.shape(us) + (1,) + zero3.shape),
     )
-    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="constant", modes=modes)
+    return _from_modes(d_dim, n_dim, modes, "constant")
 
 
 def linear_coefficient(a, b=0.0, d_dim: int = 1, n_dim: int = 1) -> Coefficient:
-    """sigma(t, u, y) = A y + B with A a (d, n, d) tensor acting on the state.
+    """sigma(t, u, y) = A y + B with A a (d, n, d) tensor acting on the state: one mode, z = 0.
 
     Scalars are promoted: for d = n = 1, ``linear_coefficient(1.0)`` is the
     plain sigma = y.
     """
     a_t = _promote(a, _dims(d_dim=d_dim, n_dim=n_dim) + (d_dim,), "a")
     b_m = _promote(b, (d_dim, n_dim), "b")
-
-    def eval_many(t, us, ys):
-        return np.einsum("dnc,mc->mdn", a_t, np.asarray(ys, dtype=float)) + b_m
-
-    def d3_many(t, us, ys):
-        return np.broadcast_to(a_t, (len(us),) + a_t.shape).copy()
-
     modes = Modes(
         np.zeros(1),
+        np.zeros(1, dtype=int),
         lambda us, ys: (np.vecdot(a_t, np.asarray(ys, dtype=float)[..., None, None, :]) + b_m)[..., None, :, :],
         lambda us, ys, b: np.broadcast_to(a_t, np.shape(us) + (1,) + a_t.shape),
     )
-    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="linear", modes=modes)
+    return _from_modes(d_dim, n_dim, modes, "linear")
 
 
 def separable_coefficient(phi: ScalarFunc, psi: MatrixFunc) -> Coefficient:
-    """sigma(t, u, y) = phi(t - u) * psi(y); one mode, of rate ``phi.rate``, B = psi(y), unless phi has none.
+    """sigma(t, u, y) = phi(t - u) * psi(y): one mode, of rate ``phi.rate`` and lag power ``phi.power``, B = psi(y).
 
     phi reads only the lag t - u, so the derivative probe pins u = 0 and
     spans the causal lags t in [0, 1]: a fast ``exp_decay`` overflows at
     negative lags, which no solve evaluates.
     """
-
-    def eval_many(t, us, ys):
-        w = np.asarray(phi.f(t - np.asarray(us, dtype=float)))
-        return w[:, None, None] * psi.value(np.asarray(ys, dtype=float))
-
-    def d3_many(t, us, ys):
-        w = np.asarray(phi.f(t - np.asarray(us, dtype=float)))
-        return w[:, None, None, None] * psi.jac(np.asarray(ys, dtype=float))
-
-    modes = None
-    if phi.rate is not None:
-        modes = Modes(
-            np.array([phi.rate]),
-            lambda us, ys: psi.value(ys)[..., None, :, :],
-            lambda us, ys, b: psi.jac(ys)[..., None, :, :, :],
-        )
-    return Coefficient(
-        psi.d_dim,
-        psi.n_dim,
-        eval_many,
-        d3_many,
-        name=f"separable({phi.name},{psi.name})",
-        probe_box=((0.0, 1.0), (0.0, 0.0), (-1.0, 1.0)),
-        modes=modes,
+    modes = Modes(
+        np.array([phi.rate]),
+        np.array([phi.power]),
+        lambda us, ys: psi.value(ys)[..., None, :, :],
+        lambda us, ys, b: psi.jac(ys)[..., None, :, :, :],
     )
+    name = f"separable({phi.name},{psi.name})"
+    return _from_modes(psi.d_dim, psi.n_dim, modes, name, probe_box=((0.0, 1.0), (0.0, 0.0), (-1.0, 1.0)))
 
 
 def trig_coefficient(
@@ -414,23 +404,10 @@ def trig_coefficient(
     phase_m = _promote(phase, (d_dim, n_dim), "phase")
     r = _promote(y_weights, (d_dim,), "y_weights")
     t_freq, u_freq = _promote(t_freq, (), "t_freq"), _promote(u_freq, (), "u_freq")
-
-    def angle(t, us, ys):
-        if isinstance(t, np.ndarray):
-            t = t[:, None, None]
-        us = np.asarray(us, dtype=float)
-        return t_freq * t + u_freq * us[:, None, None] + np.vecdot(np.asarray(ys, dtype=float), r)[:, None, None] + phase_m
-
-    def eval_many(t, us, ys):
-        return amp_m * np.sin(angle(t, us, ys))
-
-    def d3_many(t, us, ys):
-        return (amp_m * np.cos(angle(t, us, ys)))[:, :, :, None] * r
-
     mode_amp, mode_freq, mode_r = -1j * amp_m * np.exp(1j * phase_m), float(t_freq + u_freq), 1j * r
 
     def mode(us, ys):
-        return np.exp(1j * (mode_freq * us + ys @ r))[..., None, None, None] * mode_amp
+        return np.exp(1j * (mode_freq * us + np.vecdot(ys, r)))[..., None, None, None] * mode_amp
 
-    modes = Modes(np.array([1j * t_freq]), mode, lambda us, ys, b: b[..., None] * mode_r)
-    return Coefficient(d_dim, n_dim, eval_many, d3_many, name="trig", modes=modes)
+    modes = Modes(np.array([1j * t_freq]), np.zeros(1, dtype=int), mode, lambda us, ys, b: b[..., None] * mode_r)
+    return _from_modes(d_dim, n_dim, modes, "trig")

@@ -25,9 +25,9 @@ guaranteed there, and the report marks everything past the first window
 as heuristic continuation.
 
 Cost in grid steps n: a young or rough solve with a built-in coefficient
-family is O(n K), its K exponential modes in the outer time carried as
-running sums; with a custom coefficient or ``separable(linear, .)`` it is
-O(n^2), every row summing its earlier cells.  On the uniform grid the
+family is O(n K), its K modes (t - u)^p e^(z (t - u)) in the outer time
+carried as running sums; with a custom coefficient it is O(n^2), every row
+summing its earlier cells.  On the uniform grid the
 singular kernel is Toeplitz, so a singular solve is a causal convolution:
 FFT history and blocked forward substitution (`numpy.fft`), O(n log^2 n).
 
@@ -275,8 +275,8 @@ def _causal(weights: np.ndarray, cells: np.ndarray) -> np.ndarray:
 class _RowSums:
     """Young and rough steps: row m sums the regime's germs of cells [lo, m) frozen at t_m.
 
-    O(n) per row, O(n^2) per solve: the path of custom coefficients and of
-    ``separable(linear, .)``, which carry no modes.  The rough germ also
+    O(n) per row, O(n^2) per solve: the path of custom coefficients, which
+    carry no modes.  The rough germ also
     reads y' = sigma(t, t, y), refreshed right after y, through the
     per-cell product w_l = y'_l . adj_l; the young regime carries neither.
     """
@@ -328,29 +328,35 @@ class _RowSums:
 
 
 class _Modes:
-    """Young and rough steps for sigma = Re sum_k e^(z_k (t - u)) B_k(u, y) (`Modes`).
+    """Young and rough steps for sigma = Re sum_k (t - u)^p_k e^(z_k (t - u)) B_k(u, y) (`Modes`).
 
-    Row m is a + Re sum_k Z_k[m], where Z_k[m] sums e^(z_k (t_m - t_l)) g_l
-    over the cells l < m and the per-cell term g_l = B(t_l, y_l) dx_l (plus
-    D_y B(t_l, y_l) . w_l in the rough regime, w_l = y'_l . adj_l) is set
-    once when row l is written.  A window's history is one weighted sum of
-    the accepted cells, weights e^(z (t_(start+1) - t_l)); a sweep carries
-    Z[m + 1] = e^(z h_m) (Z[m] + g_m).  The weights are never split into
-    e^(-z t) e^(z u), so for Re z <= 0 none exceeds 1 in modulus.  One
-    evaluation of B per written row also gives the rough y'_m = Re sum_k
-    B_k(t_m, y_m).  O(n K) per solve.  A residual recomputes the window's
-    cells in one batch and convolves them with e^(z t_k) by FFT, as the
-    uniform grid has t_m - t_l = t_(m-l).
+    Row m is a + Re sum_k Z_k[m], where Z_k[m] sums (t_m - t_l)^p_k
+    e^(z_k (t_m - t_l)) g_l over the cells l < m and the per-cell term
+    g_l = B(t_l, y_l) dx_l (plus D_y B(t_l, y_l) . w_l in the rough regime,
+    w_l = y'_l . adj_l) is set once when row l is written.  A window's
+    history is one weighted sum of the accepted cells.  A sweep carries the
+    lag-free sums Z0[m + 1] = e^(z h_m) (Z0[m] + g_m) of every mode and,
+    for the power-1 modes only, Z1[m + 1] = e^(z h_m) Z1[m] + h_m Z0[m + 1].
+    The weights are never split into e^(-z t) e^(z u), so for Re z <= 0 the
+    exponentials never exceed 1 in modulus.  One evaluation of B per written
+    row also gives the rough y'_m, Re B_k(t_m, y_m) summed over the power-0
+    modes.  O(n K) per solve.  A residual recomputes the window's cells in
+    one batch and convolves them with t_k^p e^(z t_k) by FFT, as the uniform
+    grid has t_m - t_l = t_(m-l).
     """
 
     def __init__(self, p: VolterraProblem, y: np.ndarray):
         modes, n = p.coefficient.modes, p.grid.n_steps
         self.a, self.y, self.times = p.a, y, p.grid.times
         self.rates, self.value, self.jac = modes.rates, modes.value, modes.jac
+        lagged = np.flatnonzero(modes.powers)
+        self.lagged = lagged if len(lagged) else None  # the power-1 modes
+        self.free = np.flatnonzero(modes.powers == 0)
         # row n closes no cell: a zero increment (and lift) and a unit shift
         # let it take the same steps as the others
         self.dx = np.concatenate([p.driver.cells(), np.zeros((1, p.n_dim))])
-        self.shift = np.exp(np.diff(self.times, append=self.times[-1])[:, None, None] * self.rates[:, None])
+        self.h = np.diff(self.times, append=self.times[-1])
+        self.shift = np.exp(self.h[:, None, None] * self.rates[:, None])
         self.g = np.empty((n + 1, len(self.rates), p.d_dim), dtype=np.result_type(self.rates, float))
         self.yp = self.adj = None
         if p.regime == "rough":
@@ -372,36 +378,49 @@ class _Modes:
         g = (b @ self.dx[lo:hi, None, :, None])[..., 0]
         if self.yp is None:
             return g, None
-        yp = np.add.reduce(b.real, 1)
+        yp = np.add.reduce((b if self.lagged is None else b[:, self.free]).real, 1)  # a zero lag kills power 1
         w = (yp @ self.adj[lo:hi]).swapaxes(1, 2).reshape(hi - lo, 1, -1, 1)
         g += (self.jac(us, ys, b).reshape(b.shape[:3] + (-1,)) @ w)[..., 0]  # D_y B[k, a, b, c] w[c, b]
         return g, yp
 
-    def history(self, start: int, end: int) -> np.ndarray:
-        lags = self.times[start + 1] - self.times[: start + 1]
+    def history(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Z0 of every mode and Z1 of the power-1 modes (None without any) at row start + 1."""
+        lags, g, lagged = self.times[start + 1] - self.times[: start + 1], self.g[: start + 1], self.lagged
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.einsum("lk,lkd->kd", np.exp(lags[:, None] * self.rates), self.g[: start + 1])
+            decay = np.exp(lags[:, None] * self.rates)
+            z1 = None if lagged is None else np.einsum("lk,lkd->kd", lags[:, None] * decay[:, lagged], g[:, lagged])
+            return np.einsum("lk,lkd->kd", decay, g), z1
 
-    def sweep(self, start: int, end: int, hist: np.ndarray) -> int | None:
-        y, a, g, shift, store = self.y, self.a, self.g, self.shift, self.store
-        finite, add = np.isfinite, np.add.reduce
-        z = hist
+    def sweep(self, start: int, end: int, hist: tuple[np.ndarray, np.ndarray | None]) -> int | None:
+        y, a, g, h, shift, store = self.y, self.a, self.g, self.h, self.shift, self.store
+        finite, add, free, lagged = np.isfinite, np.add.reduce, self.free, self.lagged
+        z, z1 = hist
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(start + 1, end + 1):
-                y[m] = a + add(z.real, 0)
+                y[m] = a + add(z.real, 0) if z1 is None else a + add(z[free].real, 0) + add(z1.real, 0)
                 if not finite(y[m]).all():
                     return m
                 store(m)
                 z = shift[m] * (z + g[m])
+                if z1 is not None:
+                    z1 = shift[m, lagged] * z1 + h[m] * z[lagged]
         return None
 
-    def residual(self, start: int, end: int, hist: np.ndarray) -> float:
-        y, rows = self.y, end - start
+    def residual(self, start: int, end: int, hist: tuple[np.ndarray, np.ndarray | None]) -> float:
+        y, rows, lagged = self.y, end - start, self.lagged
+        (z0, z1), lags = hist, self.times[:rows, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = np.exp(self.times[:rows, None] * self.rates)[:, :, None]
-            z = weights * hist
+            weights = np.exp(lags * self.rates)[:, :, None]
+            z = weights * z0
             if rows > 1:  # a one-row window has no cells of its own
-                z[1:] += _causal(weights[1:], self.cells(start + 1, end)[0])
+                cells = self.cells(start + 1, end)[0]
+                z[1:] += _causal(weights[1:], cells)
+            if lagged is not None:  # row k: e^(z t_k) (Z1 + t_k Z0) of the history, cells weighted t_k e^(z t_k)
+                decay = weights[:, lagged]
+                z1 = decay * z1 + lags[:, :, None] * decay * z0[lagged]
+                if rows > 1:
+                    z1[1:] += _causal(lags[1:, :, None] * decay[1:], cells[:, lagged])
+                z = np.concatenate([z[:, self.free], z1], axis=1)
             return float(np.max(np.abs(self.a + np.add.reduce(z.real, 1) - y[start + 1 : end + 1])))
 
 

@@ -80,6 +80,14 @@ def fbm_young_config(n_steps: int = 256) -> dict:
     }
 
 
+def fbm_young_lagged_config() -> dict:
+    """The young fBm config with sigma = (t - u) (sin y + 2): one mode of lag power 1."""
+    data = fbm_young_config()
+    data["coefficient"]["params"]["phi"] = {"name": "linear"}
+    data["outputs"]["prefix"] = "fbmlag"
+    return data
+
+
 def fbm_rough_config(n_steps: int = 128) -> dict:
     """Trig sigma against 2-D fBm lifted from a twice finer grid."""
     return {
@@ -378,9 +386,7 @@ class TestCoefficientDispatch:
 
     @pytest.mark.parametrize("name", sorted(COEFFICIENT_ENTRIES))
     def test_builds_with_modes(self, name):
-        entry = COEFFICIENT_ENTRIES[name]
-        linear_phi = entry["family"] == "separable" and entry["params"]["phi"]["name"] == "linear"
-        assert (_build_coefficient(entry).modes is None) == linear_phi
+        assert _build_coefficient(COEFFICIENT_ENTRIES[name]).modes is not None
 
 
 class TestSolve:
@@ -441,13 +447,23 @@ class TestSolve:
         code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_NOT_CONVERGED
         assert "partial outputs written" in capsys.readouterr().err
-        report = json.loads((tmp_path / "expsine_report.json").read_text())
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        # standard JSON: the failed window's inf residual and norm are null, not the bare Infinity
+        report = json.loads((tmp_path / "expsine_report.json").read_text(), parse_constant=refuse)
         assert report["converged"] is False
+        failed = report["windows"][-1]
+        assert failed["converged"] is False
+        assert (failed["final_residual"], failed["holder_norm"], report["errors"]["final_residual"]) == (None,) * 3
         table = load_csv(tmp_path / "expsine_solution.csv")
         assert np.isfinite(table).all()
 
     @pytest.mark.parametrize(
-        "make", [fbm_young_config, singular_config, fbm_rough_config], ids=["young", "singular", "rough"]
+        "make",
+        [fbm_young_config, fbm_young_lagged_config, singular_config, fbm_rough_config],
+        ids=["young", "young-lagged", "singular", "rough"],
     )
     def test_byte_identical_reproduction(self, tmp_path, make):
         data = make()

@@ -18,8 +18,12 @@ from roughvolterra.coefficients import (
 
 class TestRegistries:
     def test_scalar_lookup(self):
-        f = scalar_func("exp_decay", rate=2.0)
-        assert f.f(0.5) == pytest.approx(np.exp(-1.0))
+        # f(v) = Re v^power e^(rate v)
+        assert [(f.rate, f.power) for f in (scalar_func("exp_decay", rate=2.0), scalar_func("linear"))] == [
+            (-2.0, 0),
+            (0.0, 1),
+        ]
+        assert scalar_func("cos", freq=3.0).rate == 3j
 
     def test_unknown_scalar_name(self):
         with pytest.raises(ValueError, match="unknown scalar function"):
@@ -236,33 +240,71 @@ class TestBatchingFallbacks:
             assert np.allclose(got[k], c.eval(ts[k], ts[k], ys[k]))
 
 
-# every built-in family that carries modes: FAMILIES, and each phi with a rate over each state map
-PHI_WITH_RATE = {"one": {}, "exp_decay": {"rate": 2.5}, "cos": {"freq": 3.0}}
-MODAL_BUILDERS = [
-    *(pytest.param(family.values[0], id=family.id) for family in FAMILIES),
-    *(
-        pytest.param(
-            lambda phi=phi, psi=psi: separable_coefficient(scalar_func(phi, **PHI_WITH_RATE[phi]), matrix_func(psi)),
-            id=f"separable-{phi}-{psi}",
-        )
-        for phi in PHI_WITH_RATE
-        for psi in MATRIX_FUNCS
+# closed forms of phi(v), and of psi(y) with D_y psi(y) over batched states (m, d), per registry entry
+PHI_PARAMS = {"one": {}, "linear": {}, "exp_decay": {"rate": 2.5}, "cos": {"freq": 3.0}}
+PHI_ORACLES = {
+    "one": np.ones_like,
+    "linear": lambda v: v,
+    "exp_decay": lambda v: np.exp(-2.5 * v),
+    "cos": lambda v: np.cos(3.0 * v),
+}
+PSI_PARAMS = {"ones": {}, "identity": {"d_dim": 2}, "sin_plus": {"shift": 0.5}, "cos": {}}
+EYE2 = np.eye(2)
+PSI_ORACLES = {
+    "ones": (lambda ys: np.ones((len(ys), 1, 1)), lambda ys: np.zeros((len(ys), 1, 1, 1))),
+    "identity": (
+        lambda ys: ys[:, :, None] * EYE2,
+        lambda ys: np.broadcast_to(EYE2[:, :, None] * EYE2[:, None, :], (len(ys), 2, 2, 2)),
     ),
+    "sin_plus": (lambda ys: (np.sin(ys) + 0.5)[:, :, None], lambda ys: np.cos(ys)[:, :, None, None]),
+    "cos": (lambda ys: np.cos(ys)[:, :, None], lambda ys: -np.sin(ys)[:, :, None, None]),
+}
+
+
+def trig_angle(t, us, ys):
+    return (0.7 * t - 0.4 * us + 0.3 * ys[:, 0] - 0.5 * ys[:, 1])[:, None, None] + TRIG_PHASE
+
+
+def separable_oracle(phi, psi):
+    """(builder, sigma, D_y sigma) of phi(t - u) psi(y)."""
+    value, jac = PSI_ORACLES[psi]
+    return (
+        lambda: separable_coefficient(scalar_func(phi, **PHI_PARAMS[phi]), matrix_func(psi, **PSI_PARAMS[psi])),
+        lambda t, us, ys: PHI_ORACLES[phi](t - us)[:, None, None] * value(ys),
+        lambda t, us, ys: PHI_ORACLES[phi](t - us)[:, None, None, None] * jac(ys),
+    )
+
+
+# every built-in family: (builder, closed-form sigma, closed-form D_y sigma)
+ORACLES = [
+    pytest.param(
+        FAMILIES[0].values[0], FAMILIES[0].values[1], lambda t, us, ys: np.zeros((len(us), 2, 3, 2)), id="constant"
+    ),
+    pytest.param(
+        FAMILIES[1].values[0],
+        FAMILIES[1].values[1],
+        lambda t, us, ys: np.broadcast_to(LIN_A, (len(us), 2, 3, 2)),
+        id="linear",
+    ),
+    pytest.param(
+        *FAMILIES[3].values[:2],
+        lambda t, us, ys: (TRIG_AMP * np.cos(trig_angle(t, us, ys)))[..., None] * np.array([0.3, -0.5]),
+        id="trig",
+    ),
+    *(pytest.param(*separable_oracle(phi, psi), id=f"separable-{phi}-{psi}") for phi in SCALAR_FUNCS for psi in MATRIX_FUNCS),
 ]
 
 
 class TestModes:
-    @pytest.mark.parametrize("build", MODAL_BUILDERS)
-    def test_modes_match_the_batched_formulas(self, build):
-        # Re sum_k e^(z_k (t - u)) B_k(u, y) is sigma, and the same sum of D_y B_k its state derivative
+    @pytest.mark.parametrize("build,sigma,jac", ORACLES)
+    def test_sigma_and_state_derivative_match_closed_forms(self, build, sigma, jac):
+        # eval_many and d3_many are derived from the modes alone: each
+        # family's sigma and D_y sigma, written out in numpy, at the probe points
         c = build()
+        assert c.modes is not None
         pts = c._probes(16)
         t, u, y = pts[:, 0], pts[:, 1], pts[:, 2:]
-        weights = np.exp((t - u)[:, None] * c.modes.rates)
-        b = c.modes.value(u, y)
-        sigma = np.einsum("mk,mkdn->mdn", weights, b).real
-        jac = np.einsum("mk,mkdnc->mdnc", weights, c.modes.jac(u, y, b)).real
-        want = c.eval_many(t, u, y)
+        want = sigma(t, u, y)
         scale = np.abs(want).max()
-        assert np.abs(sigma - want).max() <= 1e-14 * scale
-        assert np.abs(jac - c.d3_many(t, u, y)).max() <= 1e-14 * scale
+        assert np.abs(c.eval_many(t, u, y) - want).max() <= 1e-14 * scale
+        assert np.abs(c.d3_many(t, u, y) - jac(t, u, y)).max() <= 1e-14 * scale

@@ -396,6 +396,7 @@ class TestSingularConvolution:
 
 MODAL_PHI = {
     "one": lambda: scalar_func("one"),
+    "linear": lambda: scalar_func("linear"),
     "exp_decay": lambda: scalar_func("exp_decay", rate=2.0),
     "cos": lambda: scalar_func("cos", freq=3.0),
 }
@@ -782,7 +783,7 @@ class TestReports:
         assert rep.solved_steps == rep.solution.grid.n_steps
         assert rep.proven_horizon <= rep.t_solved
 
-    @pytest.mark.parametrize("path", ["rows", "modes", "convolution"])
+    @pytest.mark.parametrize("path", ["rows", "modes", "lagged-modes", "convolution"])
     def test_residual_measures_a_perturbed_row(self, path, monkeypatch):
         # The residual is summed by another route than the sweep, so it is
         # not zero by construction: a row moved by 1e-6 after the second
@@ -790,9 +791,11 @@ class TestReports:
         if path == "rows":
             p = make_problem("rough", 256)
             p = dataclasses.replace(p, coefficient=without_modes(p.coefficient))
+        elif path == "lagged-modes":  # phi linear: one mode of lag power 1
+            p = modal_case("rough", 512, "linear-identity")[0]
         else:
             p = rough_trig_fbm2d_problem() if path == "modes" else singular_sin_plus_problem()
-        steps = {"rows": solver._RowSums, "modes": solver._Modes, "convolution": solver._Convolution}[path]
+        steps = {"rows": solver._RowSums, "convolution": solver._Convolution}.get(path, solver._Modes)
         sweep, calls = steps.sweep, []
 
         def moved(self, start, end, hist):
