@@ -266,7 +266,7 @@ def trig_angle(t, us, ys):
 
 
 def separable_oracle(phi, psi):
-    """(builder, sigma, D_y sigma) of phi(t - u) psi(y)."""
+    """(constructor, sigma, D_y sigma) of phi(t - u) psi(y)."""
     value, jac = PSI_ORACLES[psi]
     return (
         lambda: separable_coefficient(scalar_func(phi, **PHI_PARAMS[phi]), matrix_func(psi, **PSI_PARAMS[psi])),
@@ -275,7 +275,7 @@ def separable_oracle(phi, psi):
     )
 
 
-# every built-in family: (builder, closed-form sigma, closed-form D_y sigma)
+# every built-in family: (constructor, closed-form sigma, closed-form D_y sigma)
 ORACLES = [
     pytest.param(
         FAMILIES[0].values[0], FAMILIES[0].values[1], lambda t, us, ys: np.zeros((len(us), 2, 3, 2)), id="constant"
