@@ -455,16 +455,14 @@ def _window_dicts(report: SolverReport) -> list[dict]:
 def _solver_report_json(
     cfg: ExperimentConfig, report: SolverReport, rng: dict, seconds: float
 ) -> dict:
-    problem_gamma = report.config.get("gamma")
-    problem_kappa = report.config.get("kappa")
-    norm_exponent = problem_kappa if report.regime == "singular" else problem_gamma
+    exponent = report.holder_exponent
     return {
         "config": cfg.to_dict(),
         "converged": report.converged,
         "windows": _window_dicts(report),
         "norms": {
-            "exponent": norm_exponent,
-            "solution_holder": path_holder_norm(report.solution, norm_exponent).value,
+            "exponent": exponent,
+            "solution_holder": path_holder_norm(report.solution, exponent).value,
             "solution_sup": float(np.max(np.abs(report.solution.values))),
         },
         "errors": {

@@ -12,7 +12,8 @@ which is exactly the admissibility constraint on the kernel.
 Increments between two times also pick up a contribution from the past:
 the kernel difference (t - u)^(-alpha) - (s - u)^(-alpha) integrated over
 [0, s], handled by the same dyadic scheme anchored at 0.  Every level of
-either part is a `singular_row_sum`, the sum the solver also adds up.
+either part is a `singular_row_sum`.  The solver sums the same cells
+on the uniform grid as a causal convolution and never calls it.
 """
 from __future__ import annotations
 

@@ -36,7 +36,7 @@ lags, hence lower bounds on their continuum counterparts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -74,9 +74,9 @@ class VolterraProblem:
     a `KernelSpec` for the singular one (the kernel carries its own
     exponents, so ``gamma``/``kappa`` may then be omitted).  ``gamma`` is
     the driver's Hölder exponent; ``kappa`` the state-regularity exponent
-    the contraction estimates run at.  ``driver_meta`` optionally echoes
-    how the driver was generated (seed, hurst, method) into reports and
-    picks the default tolerance.
+    the contraction estimates run at.  ``driver_meta`` optionally says how
+    the driver was generated (seed, hurst, method); it only picks the
+    default tolerance, `DEFAULT_TOL_FBM` when it names a ``hurst``.
     """
 
     regime: Regime
@@ -108,30 +108,6 @@ class VolterraProblem:
     @property
     def grid(self) -> Grid:
         return self.driver.grid
-
-    def config(self) -> dict:
-        """Plain-data echo of the problem for reports and reproduction."""
-        if isinstance(self.coefficient, KernelSpec):
-            field_desc = {
-                "kind": "kernel",
-                "alpha": self.coefficient.alpha,
-                "psi": self.coefficient.psi.name,
-            }
-        else:
-            field_desc = {"kind": "coefficient", "name": self.coefficient.name}
-        return {
-            "regime": self.regime,
-            "a": self.a.tolist(),
-            "field": field_desc,
-            "gamma": self.gamma,
-            "kappa": self.kappa,
-            "horizon": self.grid.horizon,
-            "n_steps": self.grid.n_steps,
-            "d_dim": self.d_dim,
-            "n_dim": self.n_dim,
-            "lift": self.lift is not None,
-            "driver_meta": dict(self.driver_meta) if self.driver_meta else None,
-        }
 
 
 def validate_problem(p: VolterraProblem) -> None:
@@ -206,10 +182,13 @@ class SolverReport:
     ``solution`` always spans the full grid; when ``converged`` is false
     only the prefix up to ``solved_steps`` holds fixed-point values and
     the tail is the constant extension of the last accepted point.
-    ``proven_horizon`` is the horizon backed by a genuine contraction
-    window; for the rough regime anything beyond the first window is a
-    heuristic extension and ``extension_heuristic`` says whether the
-    solve used one.  ``sweeps`` counts the window passes, one sweep each;
+    ``holder_exponent`` is the exponent of the windows' Hölder norms:
+    kappa in the singular regime, gamma otherwise.  No contraction
+    estimate backs ``proven_horizon`` yet.  In the rough regime it is the
+    end of the first window, so it follows ``initial_window``, and anything
+    beyond is a heuristic extension (``extension_heuristic`` says whether
+    the solve used one); in the young and singular regimes it is the solved
+    horizon.  ``sweeps`` counts the window passes, one sweep each;
     ``windows`` records the accepted windows and, when a sweep turned
     non-finite, the failed cell it stopped at.
     """
@@ -223,9 +202,9 @@ class SolverReport:
     t_solved: float
     solved_steps: int
     tolerance: float
+    holder_exponent: float
     proven_horizon: float
     extension_heuristic: bool
-    config: dict = field(default_factory=dict)
 
 
 def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu: float) -> float:
@@ -357,6 +336,7 @@ class _Modes:
         self.dx = np.concatenate([p.driver.cells(), np.zeros((1, p.n_dim))])
         self.h = np.diff(self.times, append=self.times[-1])
         self.shift = np.exp(self.h[:, None, None] * self.rates[:, None])
+        self.lshift = None if self.lagged is None else self.shift[:, self.lagged]
         self.g = np.empty((n + 1, len(self.rates), p.d_dim), dtype=np.result_type(self.rates, float))
         self.yp = self.adj = None
         if p.regime == "rough":
@@ -392,18 +372,24 @@ class _Modes:
             return np.einsum("lk,lkd->kd", decay, g), z1
 
     def sweep(self, start: int, end: int, hist: tuple[np.ndarray, np.ndarray | None]) -> int | None:
-        y, a, g, h, shift, store = self.y, self.a, self.g, self.h, self.shift, self.store
+        y, a, g, h, shift, lshift, store = self.y, self.a, self.g, self.h, self.shift, self.lshift, self.store
         finite, add, free, lagged = np.isfinite, np.add.reduce, self.free, self.lagged
         z, z1 = hist
+        mixed = len(free) > 0  # power-0 modes beside the power-1 ones
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(start + 1, end + 1):
-                y[m] = a + add(z.real, 0) if z1 is None else a + add(z[free].real, 0) + add(z1.real, 0)
+                if z1 is None:
+                    y[m] = a + add(z.real, 0)
+                elif mixed:
+                    y[m] = a + add(z[free].real, 0) + add(z1.real, 0)
+                else:
+                    y[m] = a + add(z1.real, 0)
                 if not finite(y[m]).all():
                     return m
                 store(m)
                 z = shift[m] * (z + g[m])
                 if z1 is not None:
-                    z1 = shift[m, lagged] * z1 + h[m] * z[lagged]
+                    z1 = lshift[m] * z1 + h[m] * z[lagged]
         return None
 
     def residual(self, start: int, end: int, hist: tuple[np.ndarray, np.ndarray | None]) -> float:
@@ -506,16 +492,13 @@ def solve(
     p: VolterraProblem,
     tol: float | None = None,
     initial_window: int | None = None,
-    initial_guess: np.ndarray | None = None,
 ) -> SolverReport:
     """Fixed point of the problem's Picard map, window by window.
 
     ``tol`` defaults by driver (`DEFAULT_TOL_FBM` for fBm, otherwise
     `DEFAULT_TOL_SMOOTH`); the report reads each window's residual against
     it, and a finite sweep is accepted whatever its residual.
-    ``initial_window`` defaults to a quarter of the grid.  A window's one
-    sweep writes every row before it reads it, so ``initial_guess`` is
-    only shape-checked: the fixed point does not depend on it.
+    ``initial_window`` defaults to a quarter of the grid.
     """
     if tol is None:
         tol = DEFAULT_TOL_FBM if p.driver_meta and "hurst" in p.driver_meta else DEFAULT_TOL_SMOOTH
@@ -527,9 +510,6 @@ def solve(
     y = np.tile(p.a, (n + 1, 1))
     kind = _Convolution if p.regime == "singular" else _RowSums if p.coefficient.modes is None else _Modes
     steps = kind(p, y)
-
-    if initial_guess is not None and np.shape(initial_guess) != y.shape:
-        raise ValueError(f"initial guess must have shape {y.shape}, got {np.shape(initial_guess)}")
 
     windows: list[WindowRecord] = []
     sweeps = 0
@@ -580,9 +560,9 @@ def solve(
         t_solved=float(times[solved_steps]),
         solved_steps=solved_steps,
         tolerance=tol,
+        holder_exponent=norm_exponent,
         proven_horizon=proven,
         extension_heuristic=heuristic,
-        config={**p.config(), "tolerance": tol},
     )
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughvolterra.algebra import Grid, Path, path_holder_norm
 from roughvolterra.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -403,6 +404,22 @@ class TestSolve:
         assert len(report["windows"]) >= 2
         assert report["config"] == exp_sine_config()
         assert report["errors"]["final_residual"] < report["errors"]["tolerance"]
+
+    @pytest.mark.parametrize(
+        "data,exponent",
+        [(fbm_young_config(), 0.75), ({**singular_config(n_steps=128), "kappa": None}, 0.5)],
+        ids=["young-gamma", "singular-null-kappa"],
+    )
+    def test_report_norms_use_the_solver_exponent(self, tmp_path, data, exponent):
+        # gamma for young, the kernel's kappa (1/2 when the config leaves it null) for singular
+        cfg = write_config(tmp_path, data)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        prefix = data["outputs"]["prefix"]
+        norms = json.loads((tmp_path / f"{prefix}_report.json").read_text())["norms"]
+        table = load_csv(tmp_path / f"{prefix}_solution.csv")
+        solution = Path(Grid(1.0, len(table) - 1), table[:, 1:])
+        assert norms["exponent"] == exponent
+        assert norms["solution_holder"] == path_holder_norm(solution, exponent).value
 
     def test_zero_field_solution_is_constant(self, tmp_path):
         data = exp_sine_config(n_steps=128)

@@ -640,34 +640,16 @@ class TestContinuationMechanics:
             with pytest.raises(ValueError, match="initial window must lie"):
                 solve_young(p, initial_window=bad)
 
-    def test_initial_guess_shape_validation(self):
-        p = make_problem("young", 64)
-        with pytest.raises(ValueError, match="initial guess must have shape"):
-            solve_young(p, initial_guess=np.zeros((65, 2)))
-
     @pytest.mark.parametrize("regime", ["young", "singular", "rough"])
-    def test_unique_limit_under_perturbed_guess(self, regime):
-        # The fixed point does not depend on a guess: each sweep writes every
-        # row before it reads it, so `initial_guess` is only shape-checked
-        # and the solution is bit-identical (dev = 0).  This holds by
-        # construction until the parameter is removed (ROADMAP).
-        p = make_problem(regime, 512)
-        base = SOLVERS[regime](p)
-        guess = base.solution.values.copy()
-        guess[1:] += 0.5
-        perturbed = SOLVERS[regime](p, initial_guess=guess)
-        assert base.converged and perturbed.converged
-        dev = np.abs(base.solution.values - perturbed.solution.values).max()
-        assert dev <= 10 * base.tolerance  # measured 0
-
-    @pytest.mark.parametrize("regime", ["young", "singular"])
     def test_solution_independent_of_window_tiling(self, regime):
+        # The history split and the sweep order follow the tiling, so only
+        # rounding may separate the two fixed points.
         p = make_problem(regime, 512)
         a = SOLVERS[regime](p)
         b = SOLVERS[regime](p, initial_window=64)
         assert [w.end for w in a.windows] != [w.end for w in b.windows]
         dev = np.abs(a.solution.values - b.solution.values).max()
-        assert dev <= 10 * a.tolerance  # measured <= 3e-12
+        assert dev <= 10 * a.tolerance  # measured <= 2e-15
 
     def test_overflow_produces_partial_report(self):
         # An enormous linear field overflows float range a few cells in;
@@ -838,27 +820,6 @@ class TestReports:
         p = make_problem("young", 64)
         rep = solve_young(p, tol=1e-6)
         assert rep.tolerance == 1e-6
-        assert rep.config["tolerance"] == 1e-6
-
-    def test_config_echoes_problem(self):
-        p = VolterraProblem(
-            "singular", 2.0, abel_kernel(), linear_driver(128), driver_meta={"source": "unit"}
-        )
-        cfg = solve_singular(p).config
-        assert cfg["regime"] == "singular"
-        assert cfg["a"] == [2.0]
-        assert cfg["field"]["kind"] == "kernel"
-        assert cfg["field"]["alpha"] == 0.25
-        assert cfg["n_steps"] == 128
-        assert cfg["horizon"] == 1.0
-        assert cfg["lift"] is False
-        assert cfg["driver_meta"] == {"source": "unit"}
-
-        q = make_problem("rough", 64)
-        qcfg = solve_rough(q).config
-        assert qcfg["field"]["kind"] == "coefficient"
-        assert "name" in qcfg["field"]
-        assert qcfg["lift"] is True
 
     def test_dispatch_matches_direct_solver(self):
         p = make_problem("singular", 128)
