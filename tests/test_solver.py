@@ -821,6 +821,24 @@ class TestReports:
         rep = solve_young(p, tol=1e-6)
         assert rep.tolerance == 1e-6
 
+    @pytest.mark.parametrize(
+        "problem,exponent",
+        [
+            (lambda: make_problem("young", 128), 0.75),
+            (lambda: make_problem("singular", 128), 0.5),
+            (rough_trig_fbm2d_problem, 0.38),
+        ],
+        ids=["young-gamma", "singular-kappa", "rough-gamma"],
+    )
+    def test_holder_exponent_is_the_window_norm_exponent(self, problem, exponent):
+        # gamma for young and rough (kappa differs in all three problems), the
+        # kernel's kappa for singular; every window norm is taken with it
+        rep = solve(problem())
+        assert rep.holder_exponent == exponent
+        times, y = rep.solution.grid.times, rep.solution.values
+        for w in rep.windows:
+            assert w.holder_norm == solver._segment_holder(times, y, w.start, w.end, exponent)
+
     def test_dispatch_matches_direct_solver(self):
         p = make_problem("singular", 128)
         via_dispatch = solve(p)
