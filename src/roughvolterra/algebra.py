@@ -253,11 +253,28 @@ def _mags(vals: np.ndarray, value_ndim: int) -> np.ndarray:
     return mags
 
 
+def _dyadic_maxima(values: np.ndarray, value_ndim: int, top: int) -> list[float]:
+    """Largest increment magnitude along axis 0 at each lag 1, 2, 4, ... up to ``top``.
+
+    Magnitudes come from `_mags`, so finite values near the float ceiling
+    read their true maximum, or inf when an increment itself overflows,
+    without a warning.  A nan increment makes its lag's maximum nan.
+    """
+    maxima = []
+    lag = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lag <= top:
+            maxima.append(float(np.max(_mags(values[lag:] - values[:-lag], value_ndim))))
+            lag *= 2
+    return maxima
+
+
 def holder_norm(g: Increment2, mu: float) -> HolderNorm:
     """Discrete Hölder norm: sup over i < j of |g_ij| / (t_j - t_i)^mu.
 
     Runs over every grid pair (row-blocked so memory stays linear in the
-    grid size).  Zero increments report value 0 at the first pair.
+    grid size).  Zero increments report value 0 at the first pair; a nan
+    ratio reports nan at the first nan pair in row order.
     """
     if not (mu > 0):
         raise ValueError(f"exponent must be positive, got {mu}")
@@ -270,7 +287,10 @@ def holder_norm(g: Increment2, mu: float) -> HolderNorm:
         js = np.arange(i + 1, n + 1)
         mags = _mags(g.fn(i, js), vndim)
         ratios = mags / (t[js] - t[i]) ** mu
-        k = int(np.argmax(ratios))
+        k = int(np.argmax(ratios))  # a row's first nan, if it has one
+        if np.isnan(ratios[k]):
+            best, arg = float(ratios[k]), (i, int(js[k]))
+            break
         if ratios[k] > best:
             best = float(ratios[k])
             arg = (i, int(js[k]))

@@ -321,7 +321,7 @@ def _check_signals(fault: str | None) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# solver: windowed forward substitution onto the fixed point
+# solver: one forward-substitution sweep onto the fixed point
 # ---------------------------------------------------------------------------
 
 
@@ -360,8 +360,9 @@ def _check_solver(fault: str | None) -> list[CheckResult]:
     tiled = tiled and all(w.final_residual < rep.tolerance for w in rep.windows)
     out.append(_result("solver", "windows-tile-horizon", 0.0 if tiled else 1.0, 0.0))
 
-    # one-cell windows land on the default tiling's fixed point: the history
-    # split and the sweep order change, so only rounding separates them
+    # one-cell windows report the default tiling's fixed point: one sweep
+    # writes the solution and the tiling shapes only the report, so this
+    # reads 0.0; it guards against the windows reaching the solution again
     p = VolterraProblem("young", 1.0, sin_field, x, gamma=0.75, kappa=0.9)
     base = solve_young(p)
     again = solve_young(p, initial_window=1)

@@ -467,7 +467,6 @@ def _solver_report_json(
         },
         "errors": {
             "tolerance": report.tolerance,
-            "sweeps": report.sweeps,
             "final_residual": report.windows[-1].final_residual,
             "t_solved": report.t_solved,
             "solved_steps": report.solved_steps,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Grid, Path
+from .algebra import Grid, Path, _dyadic_maxima
 
 __all__ = [
     "FbmSpec",
@@ -199,14 +199,8 @@ def estimate_holder(path: Path, levels: int | None = None) -> HolderEstimate:
     if not (1 <= levels and (1 << (levels - 1)) <= n):
         raise ValueError(f"levels={levels} does not fit a grid of {n} steps")
     vals = path.values
-    scales = []
-    maxima = []
-    for m in range(levels):
-        lag = 1 << m
-        diff = vals[lag:] - vals[:-lag]
-        mags = np.sqrt(np.sum(diff * diff, axis=tuple(range(1, vals.ndim))))
-        maxima.append(float(np.max(mags)))
-        scales.append(lag * path.grid.dt)
+    maxima = _dyadic_maxima(vals, vals.ndim - 1, 1 << (levels - 1))
+    scales = [(1 << m) * path.grid.dt for m in range(levels)]
     scale_of_path = float(np.max(np.abs(vals)))
     if max(maxima) <= 1e-14 * max(1.0, scale_of_path):
         return HolderEstimate(np.inf, True, tuple(scales), tuple(maxima))

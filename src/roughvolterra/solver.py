@@ -1,4 +1,4 @@
-"""Windowed fixed-point solvers for Volterra equations in three regimes.
+"""Fixed-point solvers for Volterra equations in three regimes, reported by window.
 
 The solution of y_t = a + int_0^t sigma(t, u, y_u) dx_u is constructed as
 the fixed point of the Picard map
@@ -12,24 +12,27 @@ second-order sums driven by a Lévy-area lift for exponents in (1/3, 1/2]
 ('rough').
 
 The map is strictly causal: row m reads only rows before it.  The solve
-runs window by window, one sweep each, writing every row before the next
-reads it: forward substitution onto the window's fixed point, with no
-iteration budget.  A finite sweep is accepted, with the a-posteriori
-residual max |a + I(y)_m - y_m| / max(1, max |y|) over its rows, and the next
-window is half as long again (capped at half the horizon).  A sweep that
-turns non-finite at row r accepts the rows before r and ends the solve
-with a failed one-cell window [r - 1, r].  The report then carries the
-partial solution up to the last accepted time, which for the rough regime
-is a legitimate outcome rather than an error: only local solvability is
-guaranteed there, and the report marks everything past the first window
-as heuristic continuation.
+is one sweep over the n rows, writing every row before the next reads it:
+forward substitution onto the discrete fixed point, with no iteration
+budget.  The solved rows are then reported window by window, the first
+window ``initial_window`` cells long and each next one half as long again
+(capped at half the horizon); a window records its a-posteriori residual
+max |a + I(y)_m - y_m| / max(1, max |y|) over its rows, its history summed
+by another route than the sweep's.  The windows shape only the report,
+never the solution.  A sweep that turns non-finite at row r keeps the rows
+before r, and the report ends with a failed one-cell window [r - 1, r].
+The report then carries the partial solution up to the last accepted
+time, which for the rough regime is a legitimate outcome rather than an
+error: only local solvability is guaranteed there, and the report marks
+everything past the first window as heuristic continuation.
 
 Cost in grid steps n: a young or rough solve with a built-in coefficient
 family is O(n K), its K modes (t - u)^p e^(z (t - u)) in the outer time
 carried as running sums; with a custom coefficient it is O(n^2), every row
 summing its earlier cells.  On the uniform grid the
 singular kernel is Toeplitz, so a singular solve is a causal convolution:
-FFT history and blocked forward substitution (`numpy.fft`), O(n log^2 n).
+one blocked forward substitution whose block sums are FFTs (`numpy.fft`),
+O(n log^2 n).
 
 All reported norms are discrete-grid quantities measured over dyadic time
 lags, hence lower bounds on their continuum counterparts.
@@ -41,7 +44,7 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import Grid, Path, _mags
+from .algebra import Grid, Path, _dyadic_maxima
 from .coefficients import Coefficient
 from .rough import LevyArea, rough_row_sum
 from .singular import KernelSpec
@@ -160,7 +163,10 @@ def validate_problem(p: VolterraProblem) -> None:
 
 @dataclass(frozen=True)
 class WindowRecord:
-    """One continuation window: indices, a-posteriori residual and Hölder norm (both inf if it failed)."""
+    """One report window of the solved rows: indices, a-posteriori residual and Hölder norm.
+
+    The failed cell that ends a non-finite solve has both set to inf.
+    """
 
     start: int
     end: int
@@ -172,7 +178,7 @@ class WindowRecord:
 
     @property
     def iterations(self) -> int:
-        return 1  # one forward-substitution sweep per window
+        return 1  # the solve's one sweep spans every window
 
 
 @dataclass(frozen=True)
@@ -188,16 +194,15 @@ class SolverReport:
     end of the first window, so it follows ``initial_window``, and anything
     beyond is a heuristic extension (``extension_heuristic`` says whether
     the solve used one); in the young and singular regimes it is the solved
-    horizon.  ``sweeps`` counts the window passes, one sweep each;
-    ``windows`` records the accepted windows and, when a sweep turned
-    non-finite, the failed cell it stopped at.
+    horizon.  ``windows`` partitions the solved rows, which one sweep
+    wrote, and ends with the failed cell the sweep stopped at when it
+    turned non-finite.
     """
 
     regime: Regime
     solution: Path
     yprime: Path | None
     windows: tuple[WindowRecord, ...]
-    sweeps: int
     converged: bool
     t_solved: float
     solved_steps: int
@@ -210,32 +215,23 @@ class SolverReport:
 def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu: float) -> float:
     """Hölder-mu norm of a value array over [i0, i1], i0 < i1, dyadic lags only."""
     width = i1 - i0
-    flat = values[i0 : i1 + 1].reshape(width + 1, -1)
     best = 0.0
-    lag = 1
-    # finite values near the float ceiling can overflow in their increments;
-    # their norm is legitimately inf, not an arithmetic error
-    with np.errstate(over="ignore", invalid="ignore"):
-        while lag <= width:
-            mags = _mags(flat[lag:] - flat[:-lag], 1)
-            span = float(times[i0 + lag] - times[i0])
-            best = float(np.maximum(best, np.max(mags) / span**mu))  # a nan stays nan
-            lag *= 2
+    for k, top in enumerate(_dyadic_maxima(values[i0 : i1 + 1].reshape(width + 1, -1), 1, width)):
+        span = float(times[i0 + (1 << k)] - times[i0])
+        best = float(np.maximum(best, top / span**mu))  # a nan stays nan
     return best
 
 
 # ---------------------------------------------------------------------------
-# One windowed core for all three regimes.  The discrete map is
+# One causal core for all three regimes.  The discrete map is
 #   (Gamma y)_m = a + sum over cells l < m of the regime's germ at outer time t_m.
-# Cell l reads the state at its left point, so once the solution is accepted
-# up to `start` the cells l <= start no longer move: a window sums them once
-# (its history) and its sweep adds the moving cells (start, m).  Row m reads
-# only rows < m, so a sweep that writes each row before the next one reads it
-# is forward substitution onto the window's fixed point; it returns its first
-# non-finite row.  `_RowSums` (young, rough) sums each row's cells at t_m,
-# `_Modes` (young, rough, coefficients with modes) carries running sums,
-# `_Convolution` (singular) convolves.  Each residual recomputes the window's
-# cells from y in one batch; `_Modes` and `_Convolution` sum them by FFT.
+# Row m reads only rows < m, so one sweep that writes each row before the
+# next one reads it is forward substitution onto the fixed point; it returns
+# its first non-finite row.  `_RowSums` (young, rough) sums each row's cells
+# at t_m, `_Modes` (young, rough, coefficients with modes) carries running
+# sums, `_Convolution` (singular) convolves.  A window's residual sums the
+# cells l <= start (its history) in one piece and recomputes its own cells
+# (start, m) from y in one batch; `_Modes` and `_Convolution` sum those by FFT.
 # ---------------------------------------------------------------------------
 
 # The most rows a singular sweep solves by the direct row loop; larger blocks split in two.
@@ -282,27 +278,23 @@ class _RowSums:
             cells = slice(lo, min(hi, n))
             self.w[cells] = np.matmul(self.yp[cells], p.lift.adjacent[cells])
 
-    def history(self, start: int, end: int) -> list[np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [self.rows(m, 0, start + 1) for m in range(start + 1, end + 1)]
-
-    def sweep(self, start: int, end: int, hist: list[np.ndarray]) -> int | None:
+    def sweep(self) -> int | None:
         y = self.y
         with np.errstate(over="ignore", invalid="ignore"):
-            for m, h in zip(range(start + 1, end + 1), hist):
-                y[m] = self.p.a + h + self.rows(m, start + 1, m)
+            for m in range(1, len(y)):
+                y[m] = self.p.a + self.rows(m, 0, m)
                 if not np.isfinite(y[m]).all():
                     return m
                 self.refresh(m, m + 1)
         return None
 
-    def residual(self, start: int, end: int, hist: list[np.ndarray]) -> float:
+    def residual(self, start: int, end: int) -> float:
         p, y, w = self.p, self.y, self.w
         with np.errstate(over="ignore", invalid="ignore"):
             if w is not None:  # the window's y' and w afresh from y, in one batch
                 yp = p.coefficient.diagonal_many(p.grid.times[start + 1 : end], y[start + 1 : end])
                 w = np.concatenate([w[: start + 1], np.matmul(yp, p.lift.adjacent[start + 1 : end])])
-            rows = [p.a + h + self.rows(m, start + 1, m, w) for m, h in zip(range(start + 1, end + 1), hist)]
+            rows = [p.a + self.rows(m, 0, start + 1) + self.rows(m, start + 1, m, w) for m in range(start + 1, end + 1)]
             return float(np.max(np.abs(np.array(rows) - y[start + 1 : end + 1])))
 
 
@@ -312,16 +304,17 @@ class _Modes:
     Row m is a + Re sum_k Z_k[m], where Z_k[m] sums (t_m - t_l)^p_k
     e^(z_k (t_m - t_l)) g_l over the cells l < m and the per-cell term
     g_l = B(t_l, y_l) dx_l (plus D_y B(t_l, y_l) . w_l in the rough regime,
-    w_l = y'_l . adj_l) is set once when row l is written.  A window's
-    history is one weighted sum of the accepted cells.  A sweep carries the
-    lag-free sums Z0[m + 1] = e^(z h_m) (Z0[m] + g_m) of every mode and,
-    for the power-1 modes only, Z1[m + 1] = e^(z h_m) Z1[m] + h_m Z0[m + 1].
+    w_l = y'_l . adj_l) is set once when row l is written.  The sweep
+    carries the lag-free sums Z0[m + 1] = e^(z h_m) (Z0[m] + g_m) of every
+    mode and, for the power-1 modes only,
+    Z1[m + 1] = e^(z h_m) Z1[m] + h_m Z0[m + 1].
     The weights are never split into e^(-z t) e^(z u), so for Re z <= 0 the
     exponentials never exceed 1 in modulus.  One evaluation of B per written
     row also gives the rough y'_m, Re B_k(t_m, y_m) summed over the power-0
-    modes.  O(n K) per solve.  A residual recomputes the window's cells in
-    one batch and convolves them with t_k^p e^(z t_k) by FFT, as the uniform
-    grid has t_m - t_l = t_(m-l).
+    modes.  O(n K) per solve.  A residual sums the cells before its window
+    with one weighted sum, recomputes the window's own cells in one batch
+    and convolves them with t_k^p e^(z t_k) by FFT, as the uniform grid has
+    t_m - t_l = t_(m-l).
     """
 
     def __init__(self, p: VolterraProblem, y: np.ndarray):
@@ -363,21 +356,14 @@ class _Modes:
         g += (self.jac(us, ys, b).reshape(b.shape[:3] + (-1,)) @ w)[..., 0]  # D_y B[k, a, b, c] w[c, b]
         return g, yp
 
-    def history(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Z0 of every mode and Z1 of the power-1 modes (None without any) at row start + 1."""
-        lags, g, lagged = self.times[start + 1] - self.times[: start + 1], self.g[: start + 1], self.lagged
-        with np.errstate(over="ignore", invalid="ignore"):
-            decay = np.exp(lags[:, None] * self.rates)
-            z1 = None if lagged is None else np.einsum("lk,lkd->kd", lags[:, None] * decay[:, lagged], g[:, lagged])
-            return np.einsum("lk,lkd->kd", decay, g), z1
-
-    def sweep(self, start: int, end: int, hist: tuple[np.ndarray, np.ndarray | None]) -> int | None:
+    def sweep(self) -> int | None:
         y, a, g, h, shift, lshift, store = self.y, self.a, self.g, self.h, self.shift, self.lshift, self.store
         finite, add, free, lagged = np.isfinite, np.add.reduce, self.free, self.lagged
-        z, z1 = hist
         mixed = len(free) > 0  # power-0 modes beside the power-1 ones
         with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(start + 1, end + 1):
+            z = shift[0] * g[0]  # the sums at row 1 hold cell 0 alone
+            z1 = None if lagged is None else h[0] * z[lagged]
+            for m in range(1, len(y)):
                 if z1 is None:
                     y[m] = a + add(z.real, 0)
                 elif mixed:
@@ -392,10 +378,14 @@ class _Modes:
                     z1 = lshift[m] * z1 + h[m] * z[lagged]
         return None
 
-    def residual(self, start: int, end: int, hist: tuple[np.ndarray, np.ndarray | None]) -> float:
+    def residual(self, start: int, end: int) -> float:
         y, rows, lagged = self.y, end - start, self.lagged
-        (z0, z1), lags = hist, self.times[:rows, None]
+        back, g, lags = self.times[start + 1] - self.times[: start + 1], self.g[: start + 1], self.times[:rows, None]
         with np.errstate(over="ignore", invalid="ignore"):
+            # the history at row start + 1: Z0 of every mode and Z1 of the power-1 modes
+            decay = np.exp(back[:, None] * self.rates)
+            z0 = np.einsum("lk,lkd->kd", decay, g)
+            z1 = None if lagged is None else np.einsum("lk,lkd->kd", back[:, None] * decay[:, lagged], g[:, lagged])
             weights = np.exp(lags * self.rates)[:, :, None]
             z = weights * z0
             if rows > 1:  # a one-row window has no cells of its own
@@ -415,11 +405,13 @@ class _Convolution:
 
     On the uniform grid t_m - t_l = t_(m-l), so the kernel weights
     K[k] = t_k^(-alpha) are computed once per solve, and the per-cell term
-    g_l = psi(y_l) dx_l once when row l is written.  A window's history is
-    one FFT middle product.  A sweep is the recursion of Hairer, Lubich and
-    Schlichte (1985): solve the left half of a block, add its cells to the
-    right half with one FFT, solve the right half; blocks of at most
-    `LEAF_ROWS` rows are solved row by row.  O(n log^2 n) per solve.
+    g_l = psi(y_l) dx_l once when row l is written.  The sweep is the
+    recursion of Hairer, Lubich and Schlichte (1985) over rows 1..n: solve
+    the left half of a block, add its cells to the right half with one FFT,
+    solve the right half; blocks of at most `LEAF_ROWS` rows are solved row
+    by row.  O(n log^2 n) per solve.  A residual sums the cells before its
+    window with one FFT middle product and its own cells, recomputed from
+    y, with one causal FFT.
 
     Values near the float ceiling overflow to inf silently, as in a row
     sum.  An FFT spreads a non-finite cell over its block as nan, so a sweep
@@ -438,20 +430,16 @@ class _Convolution:
         self.acc = np.empty_like(y)  # per row: a plus the cells summed so far
         self.spectra: dict[int, np.ndarray] = {}
 
-    def history(self, start: int, end: int) -> np.ndarray:
+    def sweep(self) -> int | None:
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.a + self._convolve(0, start + 1, end + 1)
+            self.acc[1:] = self.a + self.K[1:, None] * self.g[0]
+            return self._solve(1, len(self.y))
 
-    def sweep(self, start: int, end: int, hist: np.ndarray) -> int | None:
-        self.acc[start + 1 : end + 1] = hist
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._solve(start + 1, end + 1)
-
-    def residual(self, start: int, end: int, hist: np.ndarray) -> float:
+    def residual(self, start: int, end: int) -> float:
         y, rows = self.y, end - start
         with np.errstate(over="ignore", invalid="ignore"):
             cells = (self.psi(y[start + 1 : end]) @ self.dx[start + 1 : end, :, None])[..., 0]
-            out = hist[:rows].copy()
+            out = self.a + self._convolve(0, start + 1, end + 1)
             out[1:] += _causal(self.K[1:rows, None], cells)
             return float(np.max(np.abs(out - y[start + 1 : end + 1])))
 
@@ -493,12 +481,13 @@ def solve(
     tol: float | None = None,
     initial_window: int | None = None,
 ) -> SolverReport:
-    """Fixed point of the problem's Picard map, window by window.
+    """Fixed point of the problem's Picard map, reported window by window.
 
     ``tol`` defaults by driver (`DEFAULT_TOL_FBM` for fBm, otherwise
     `DEFAULT_TOL_SMOOTH`); the report reads each window's residual against
     it, and a finite sweep is accepted whatever its residual.
-    ``initial_window`` defaults to a quarter of the grid.
+    ``initial_window``, the first report window's length in cells, defaults
+    to a quarter of the grid; it does not touch the solution.
     """
     if tol is None:
         tol = DEFAULT_TOL_FBM if p.driver_meta and "hurst" in p.driver_meta else DEFAULT_TOL_SMOOTH
@@ -506,36 +495,29 @@ def solve(
         raise ValueError(f"tolerance must be positive, got {tol}")
     grid, n, times = p.grid, p.grid.n_steps, p.grid.times
     norm_exponent = p.kappa if p.regime == "singular" else p.gamma
-
-    y = np.tile(p.a, (n + 1, 1))
-    kind = _Convolution if p.regime == "singular" else _RowSums if p.coefficient.modes is None else _Modes
-    steps = kind(p, y)
-
-    windows: list[WindowRecord] = []
-    sweeps = 0
-    start = 0
     window = max(n // 4, 1) if initial_window is None else initial_window
     if not (1 <= window <= n):
         raise ValueError(f"initial window must lie in [1, {n}] cells, got {window}")
     cap = max(n // 2, 1)
 
-    while start < n:
-        end = min(start + window, n)
-        hist = steps.history(start, end)
-        bad = steps.sweep(start, end, hist)
-        sweeps += 1
-        last = end if bad is None else bad - 1  # the map is causal: the rows before `bad` are exact
-        if last > start:
-            scale = max(1.0, float(np.max(np.abs(y[start : last + 1]))))
-            fit = steps.residual(start, last, hist) / scale, _segment_holder(times, y, start, last, norm_exponent)
-            windows.append(WindowRecord(start, last, float(times[start]), float(times[last]), True, *fit))
-            start = last
-        if bad is not None:
-            windows.append(WindowRecord(start, bad, float(times[start]), float(times[bad]), False, np.inf, np.inf))
-            break
-        window = min(int(window * 1.5), cap)
+    y = np.tile(p.a, (n + 1, 1))
+    kind = _Convolution if p.regime == "singular" else _RowSums if p.coefficient.modes is None else _Modes
+    steps = kind(p, y)
+    bad = steps.sweep()
+    solved_steps = n if bad is None else bad - 1  # the map is causal: the rows before `bad` are exact
 
-    solved_steps = start
+    windows: list[WindowRecord] = []
+    start = 0
+    while start < solved_steps:
+        end = min(start + window, solved_steps)
+        scale = max(1.0, float(np.max(np.abs(y[start : end + 1]))))
+        fit = steps.residual(start, end) / scale, _segment_holder(times, y, start, end, norm_exponent)
+        windows.append(WindowRecord(start, end, float(times[start]), float(times[end]), True, *fit))
+        start = end
+        window = min(int(window * 1.5), cap)
+    if bad is not None:
+        windows.append(WindowRecord(start, bad, float(times[start]), float(times[bad]), False, np.inf, np.inf))
+
     # tail past the solved horizon: constant extension, not solution values
     y[solved_steps + 1 :] = y[solved_steps]
     yp = steps.yp
@@ -555,7 +537,6 @@ def solve(
         solution=Path(grid, y),
         yprime=Path(grid, yp) if yp is not None else None,
         windows=tuple(windows),
-        sweeps=sweeps,
         converged=solved_steps == n,
         t_solved=float(times[solved_steps]),
         solved_steps=solved_steps,

@@ -191,6 +191,17 @@ class TestHolderNorm:
         ramp = Path(g, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         assert path_holder_norm(ramp, 1.0).value == 2.0 * math.sqrt(2.0)
 
+    def test_nan_ratio_propagates(self):
+        # the row (0, .) holds 100 at (0, 1) and nan at (0, 2): the norm is
+        # nan at the first nan pair, not 0 from the rows after it
+        g = Grid(1.0, 4)
+        table = np.zeros((5, 5))
+        table[0, 1], table[0, 2] = 100.0, np.nan
+        h = holder_norm(Increment2(g, lambda i, j: table[i, j][..., None], (1,)), 1.0)
+        assert np.isnan(h.value)
+        assert h.arg_pair == (0, 2)
+        assert h.arg_times == (0.0, 0.5)
+
     def test_rejects_nonpositive_exponent(self):
         g = Grid(1.0, 8)
         with pytest.raises(ValueError):

@@ -40,4 +40,5 @@ def test_traced_workload_passes_its_check(tmp_path, workload):
     assert workload.check(out, workload.reference_driver()) == []
     metrics = tracer.layer_metrics()
     assert metrics["solver.windows"] > 0
-    assert metrics["solver.sweeps"] == metrics["solver.windows"]  # one sweep per window
+    # `solver.sweeps` sums WindowRecord.iterations, 1 per report window: it counts windows, not the solve's one sweep
+    assert metrics["solver.sweeps"] == metrics["solver.windows"]

@@ -30,6 +30,12 @@ from roughvolterra.cli import (
 from roughvolterra.coefficients import MATRIX_FUNCS, SCALAR_FUNCS
 
 REPORT_KEYS = ["config", "converged", "windows", "norms", "errors", "timing", "rng"]
+REPORT_LAYOUT = {
+    "top": REPORT_KEYS,
+    "errors": ["tolerance", "final_residual", "t_solved", "solved_steps", "proven_horizon", "extension_heuristic"],
+    "norms": ["exponent", "solution_holder", "solution_sup"],
+    "windows[]": ["start", "end", "t_start", "t_end", "converged", "iterations", "final_residual", "holder_norm"],
+}
 
 
 def exp_sine_config(n_steps: int = 1024) -> dict:
@@ -404,6 +410,16 @@ class TestSolve:
         assert len(report["windows"]) >= 2
         assert report["config"] == exp_sine_config()
         assert report["errors"]["final_residual"] < report["errors"]["tolerance"]
+
+    def test_report_layout_is_pinned(self, tmp_path):
+        # the ordered keys of the solve report; a dropped, renamed or moved field fails here
+        cfg = write_config(tmp_path, exp_sine_config(n_steps=128))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "expsine_report.json").read_text())
+        windows = report["windows"]
+        layout = {"top": list(report), "errors": list(report["errors"]), "norms": list(report["norms"])}
+        assert {**layout, "windows[]": list(windows[0])} == REPORT_LAYOUT
+        assert len(windows) >= 2 and all(list(w) == list(windows[0]) for w in windows)
 
     @pytest.mark.parametrize(
         "data,exponent",

@@ -1,4 +1,6 @@
 """Driver generation: fBm covariance structure, determinism, exponent fits."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -160,6 +162,16 @@ class TestHolderEstimate:
         est = estimate_holder(p)
         assert est.degenerate
         assert est.value == np.inf
+
+    def test_huge_finite_path_fits_the_same_exponent(self):
+        # increments near 1e160 overflow when squared; their magnitudes do not
+        p = generate_fbm(FbmSpec(hurst=0.7, dim=1, grid=Grid(1.0, 1024), seed=3))
+        base = estimate_holder(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = estimate_holder(Path(p.grid, 1e160 * p.values))
+        assert base.value == pytest.approx(0.5847033847671287, abs=1e-12)
+        assert big.value == pytest.approx(base.value, rel=1e-12)  # measured 3e-14
 
     def test_levels_validation(self):
         p = builtin_path("linear", Grid(1.0, 8))

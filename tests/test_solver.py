@@ -341,7 +341,7 @@ def convolution_case(n: int, alpha: float, psi: str) -> tuple[VolterraProblem, n
 
 
 class TestSingularConvolution:
-    """The singular sweep (FFT history, blocked forward substitution) against the direct O(n^2) one."""
+    """The singular sweep (blocked forward substitution, FFT block sums) against the direct O(n^2) one."""
 
     @pytest.mark.parametrize("first", [1, 3, None], ids=["window-1", "window-3", "window-default"])
     @pytest.mark.parametrize("psi", sorted(CONVOLUTION_PSI))
@@ -360,15 +360,14 @@ class TestSingularConvolution:
     def test_overflow_fails_at_the_same_row_without_warnings(self):
         # y_1 = 4.4e303 is finite but g_1 = psi(y_1) dx_1 overflows to inf;
         # the direct row sum reads inf at row 2, and so must the solver,
-        # where an FFT over that cell would read nan: the one sweep accepts
-        # row 1 and records the failed cell [1, 2]
+        # where an FFT over that cell would read nan: the sweep stops there,
+        # and the report accepts row 1 and records the failed cell [1, 2]
         g = Grid(1.0, 64)
         p = VolterraProblem("singular", 1.0, abel_kernel(), Path(g, 1e305 * g.times[:, None]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = solve_singular(p)
         assert rep.solved_steps == 1
-        assert rep.sweeps == 1
         assert [(w.start, w.end, w.converged, w.final_residual) for w in rep.windows] == [
             (0, 1, True, 0.0), (1, 2, False, np.inf)
         ]
@@ -378,10 +377,10 @@ class TestSingularConvolution:
         assert rep.windows[1].holder_norm == np.inf
 
     def test_late_overflow_halves_through_the_same_windows(self):
-        # the solution reaches 3.6e307 at row 286: the window of 384 rows
-        # overflows at row 287 inside an FFT-summed block, so it accepts
-        # rows up to 286 and records the failed cell [286, 287], the row
-        # direct row sums fail at (they printed 641 numpy warnings on the way)
+        # the solution reaches 3.6e307 at row 286: the sweep overflows at row
+        # 287 inside an FFT-summed block, the row direct row sums fail at
+        # (they printed 641 numpy warnings on the way), so the second window
+        # of the schedule, 384 rows, ends at 286 before the failed cell [286, 287]
         g = Grid(1.0, 1024)
         x = Path(g, 2e3 * np.column_stack([g.times, -g.times]))
         k = KernelSpec(alpha=0.25, psi=matrix_func("identity", d_dim=2), gamma=1.0)
@@ -389,7 +388,6 @@ class TestSingularConvolution:
             warnings.simplefilter("error")
             rep = solve_singular(VolterraProblem("singular", [1.0, 1.0], k, x))
         assert [(w.start, w.end) for w in rep.windows] == [(0, 256), (256, 286), (286, 287)]
-        assert rep.sweeps == 2
         assert (rep.windows[-1].final_residual, rep.windows[-1].holder_norm) == (np.inf, np.inf)
         assert rep.solution.values[286, 0] == pytest.approx(3.55022084e307, rel=1e-8)
 
@@ -455,7 +453,7 @@ class TestModalSums:
     """Running sums over a built-in family's modes against the row sums of the same sigma.
 
     The row-sum reference is solved once per problem, on the default
-    windows: another tiling only reorders its sums.
+    windows: another tiling changes only its report.
     """
 
     @pytest.mark.parametrize("first", [1, 3, None], ids=["window-1", "window-3", "window-default"])
@@ -490,7 +488,7 @@ class TestModalSums:
     @pytest.mark.parametrize("path", ["modes", "rows"])
     def test_overflow_stops_at_the_first_non_finite_row(self, path):
         # sigma ~ 1e300 against increments of 15.6 overflows in the first
-        # row: the one sweep records the failed cell [0, 1], inf on both
+        # row: the sweep stops there and the report records the failed cell [0, 1], inf on both
         # paths, without evaluating sigma at a non-finite state (the row
         # sums printed 57 numpy warnings when they ran on past it)
         g = Grid(1.0, 64)
@@ -503,7 +501,6 @@ class TestModalSums:
             warnings.simplefilter("error")
             rep = solve(p)
         assert rep.solved_steps == 0
-        assert rep.sweeps == 1
         assert [(w.start, w.end, w.converged, w.final_residual, w.holder_norm) for w in rep.windows] == [
             (0, 1, False, np.inf, np.inf)
         ]
@@ -640,16 +637,36 @@ class TestContinuationMechanics:
             with pytest.raises(ValueError, match="initial window must lie"):
                 solve_young(p, initial_window=bad)
 
+    @pytest.mark.parametrize("first", [1, 3, 64])
     @pytest.mark.parametrize("regime", ["young", "singular", "rough"])
-    def test_solution_independent_of_window_tiling(self, regime):
-        # The history split and the sweep order follow the tiling, so only
-        # rounding may separate the two fixed points.
+    def test_solution_independent_of_window_tiling(self, regime, first):
+        # One sweep over every row writes the solution; the tiling only
+        # partitions it for the report.
         p = make_problem(regime, 512)
         a = SOLVERS[regime](p)
-        b = SOLVERS[regime](p, initial_window=64)
+        b = SOLVERS[regime](p, initial_window=first)
         assert [w.end for w in a.windows] != [w.end for w in b.windows]
-        dev = np.abs(a.solution.values - b.solution.values).max()
-        assert dev <= 10 * a.tolerance  # measured <= 2e-15
+        assert np.array_equal(a.solution.values, b.solution.values)
+        if regime == "rough":
+            assert np.array_equal(a.yprime.values, b.yprime.values)
+
+    @pytest.mark.parametrize("first", [1, 3, None], ids=["window-1", "window-3", "window-default"])
+    @pytest.mark.parametrize("path", ["rows", "modes", "convolution"])
+    def test_each_solve_sweeps_once(self, path, first, monkeypatch):
+        steps = {"rows": solver._RowSums, "modes": solver._Modes, "convolution": solver._Convolution}[path]
+        sweep, calls = steps.sweep, []
+
+        def counted(self):
+            calls.append(path)
+            return sweep(self)
+
+        monkeypatch.setattr(steps, "sweep", counted)
+        p = make_problem("singular" if path == "convolution" else "rough", 256)
+        if path == "rows":
+            p = dataclasses.replace(p, coefficient=without_modes(p.coefficient))
+        rep = solve(p, initial_window=first)
+        assert rep.converged and len(rep.windows) >= 3
+        assert calls == [path]
 
     def test_overflow_produces_partial_report(self):
         # An enormous linear field overflows float range a few cells in;
@@ -666,10 +683,9 @@ class TestContinuationMechanics:
         assert not rep.windows[-1].converged
         assert all(w.converged for w in rep.windows[:-1])
         assert_windows_tile(rep)
-        # the first window's one sweep overflows at row 2: it accepts [0, 1]
-        # and records the failed cell [1, 2]
+        # the sweep overflows at row 2: the report accepts [0, 1] and
+        # records the failed cell [1, 2]
         assert [(w.start, w.end, w.final_residual) for w in rep.windows] == [(0, 1, 0.0), (1, 2, np.inf)]
-        assert rep.sweeps == 1
         # one increment of 1.5625e158 over 1/64: its square overflows, its Hölder-1 norm is 1e160
         assert rep.windows[0].holder_norm == pytest.approx(1e160, rel=1e-15)
         assert rep.windows[1].holder_norm == np.inf
@@ -677,15 +693,14 @@ class TestContinuationMechanics:
     @pytest.mark.parametrize("regime", ["young", "singular", "rough"])
     def test_windows_settle_by_forward_substitution(self, regime, exp_sine_report):
         # Row m of the map reads only rows < m, so one in-place sweep is the
-        # window's fixed point: every window takes exactly 1 sweep, and the
-        # a-posteriori residual, summed by another route, is rounding.
+        # fixed point: each window's a-posteriori residual, summed by another
+        # route, is rounding.
         rep = exp_sine_report if regime == "young" else solve(OPERATOR_PROBLEMS[regime]())
         assert rep.converged
         assert len(rep.windows) >= 2
         for w in rep.windows:
             assert w.iterations == 1
             assert w.final_residual < rep.tolerance
-        assert rep.sweeps == len(rep.windows)
 
     def test_solution_regularity_stable_under_refinement(self):
         # The measured Hölder norm of the solution at the driver's own
@@ -711,10 +726,10 @@ class TestContinuationMechanics:
 class TestOperatorEquation:
     """A converged solve satisfies its regime module's equation y_m - a = I(0, m).
 
-    The young operator sums the same row sums as the solver, so this ties
-    the solver's windowed split (history once per window, the moving cells
-    each sweep) to the operator equation; forward substitution solves the
-    discrete equation exactly, so they agree to rounding.  The singular
+    The young operator sums `young_row_sum` over every cell; the solver's
+    one sweep carries running sums over the coefficient's modes instead
+    (row sums only for a custom sigma).  Forward substitution solves the
+    discrete equation exactly, so the two agree to rounding.  The singular
     operator sums `singular_row_sum`, which the solver's convolution does
     not call.  The row sums themselves are checked against independent
     references: `brute_force_map` and the power-law oracles in the operator
@@ -761,15 +776,15 @@ class TestReports:
             assert w.iterations == 1
             assert w.final_residual < rep.tolerance
             assert np.isfinite(w.holder_norm)
-        assert rep.sweeps == sum(w.iterations for w in rep.windows)
         assert rep.solved_steps == rep.solution.grid.n_steps
         assert rep.proven_horizon <= rep.t_solved
 
     @pytest.mark.parametrize("path", ["rows", "modes", "lagged-modes", "convolution"])
     def test_residual_measures_a_perturbed_row(self, path, monkeypatch):
         # The residual is summed by another route than the sweep, so it is
-        # not zero by construction: a row moved by 1e-6 after the second
-        # window's sweep shows in that window's residual and in no other.
+        # not zero by construction: the second window's last row, moved by
+        # 1e-6 after the sweep, shows in that window's residual and in none
+        # before it (later windows read it in their history).
         if path == "rows":
             p = make_problem("rough", 256)
             p = dataclasses.replace(p, coefficient=without_modes(p.coefficient))
@@ -778,21 +793,20 @@ class TestReports:
         else:
             p = rough_trig_fbm2d_problem() if path == "modes" else singular_sin_plus_problem()
         steps = {"rows": solver._RowSums, "convolution": solver._Convolution}.get(path, solver._Modes)
-        sweep, calls = steps.sweep, []
+        sweep, n = steps.sweep, p.grid.n_steps
+        row = window_schedule(n, n // 4)[1][1]
 
-        def moved(self, start, end, hist):
-            bad = sweep(self, start, end, hist)
-            calls.append(end)
-            if len(calls) == 2:
-                self.y[end] += 1e-6
+        def moved(self):
+            bad = sweep(self)
+            self.y[row] += 1e-6
             return bad
 
         monkeypatch.setattr(steps, "sweep", moved)
         rep = solve(p)
-        assert rep.converged and len(rep.windows) >= 3
+        assert rep.converged and len(rep.windows) >= 3 and rep.windows[1].end == row
         residuals = [w.final_residual for w in rep.windows]
         assert residuals[1] >= 1e-7
-        assert all(r < rep.tolerance for k, r in enumerate(residuals) if k != 1)
+        assert residuals[0] < rep.tolerance
 
     @pytest.mark.parametrize("rate", [-10.0, -40.0])
     def test_residual_is_relative_to_the_window_scale(self, rate):
