@@ -272,9 +272,12 @@ def _dyadic_maxima(values: np.ndarray, value_ndim: int, top: int) -> list[float]
 def holder_norm(g: Increment2, mu: float) -> HolderNorm:
     """Discrete Hölder norm: sup over i < j of |g_ij| / (t_j - t_i)^mu.
 
-    Runs over every grid pair (row-blocked so memory stays linear in the
-    grid size).  Zero increments report value 0 at the first pair; a nan
-    ratio reports nan at the first nan pair in row order.
+    Runs over every grid pair, O(n^2) in grid steps n (row-blocked so
+    memory stays linear in the grid size).  Zero increments report value 0
+    at the first pair; a nan ratio reports nan at the first nan pair in row
+    order.  This scan serves any `Increment2` and is the reference for
+    `path_holder_norm`, which returns the same result for a path's
+    increments without visiting every pair.
     """
     if not (mu > 0):
         raise ValueError(f"exponent must be positive, got {mu}")
@@ -299,9 +302,96 @@ def holder_norm(g: Increment2, mu: float) -> HolderNorm:
     return HolderNorm(mu, best, arg, (float(t[arg[0]]), float(t[arg[1]])))
 
 
+# lags below this are all evaluated to seed the maximum; bands of lags
+# [L, 2L) from here up are bounded block by block
+_SEED_LAGS = 32
+# pairs per evaluated batch: a block is evaluated in row chunks this size
+_CHUNK_PAIRS = 2048
+# covers the rounding by which a computed ratio can exceed its block's
+# computed bound: summation order in the magnitudes and the power
+_BOUND_SAFETY = 1.0 + 1e-12
+
+
 def path_holder_norm(p: Path, mu: float) -> HolderNorm:
-    """Hölder norm of a path's increments."""
-    return holder_norm(delta1(p), mu)
+    """Hölder norm of a path's increments, by a pruned scan of the pairs.
+
+    Returns the same ``value`` and ``arg_pair``, to the bit, as
+    ``holder_norm(delta1(p), mu)``: the largest ratio, at the
+    lexicographically smallest pair attaining it.
+
+    1. Every lag below 32 and every dyadic lag up to n is evaluated, one
+       vectorised row per lag, which seeds the maximum.
+    2. The lags [L, 2L) of each band L = 32, 64, ... <= n are split into
+       blocks of L rows.  Block [s, s + L) is bounded by the magnitude of the
+       componentwise range of the values over rows [s, s + 3L - 1), which
+       holds every pair of the block, over the smallest lag-L time gap to the
+       power mu.  The ranges come from a running table of window maxima and
+       minima that doubles its window with the band.
+    3. Blocks are evaluated in descending bound order, in row chunks of at
+       most ~2048 pairs, until a bound falls below the maximum found.  A
+       block whose bound equals the maximum is evaluated only if its first
+       pair precedes the current ``arg_pair``, so ties resolve as in the row
+       scan and a constant stretch evaluates nothing.
+
+    Seeds and bounds cost O(n log n) in grid steps n, plus the evaluated
+    blocks: a rough path whose ratios are close to the maximum at every
+    scale evaluates many of them, and the worst case is the all-pairs
+    O(n^2).  A grid whose time gaps to the power mu underflow or overflow
+    takes the all-pairs scan, where a ratio may be inf or nan.
+    """
+    if not (mu > 0):
+        raise ValueError(f"exponent must be positive, got {mu}")
+    n = p.grid.n_steps
+    t = p.grid.times
+    with np.errstate(over="ignore", under="ignore"):
+        normal_gaps = np.min(np.diff(t)) ** mu >= np.finfo(float).tiny and (t[-1] - t[0]) ** mu < np.inf
+    if not normal_gaps:
+        return holder_norm(delta1(p), mu)
+    v = p.values
+    vndim = len(p.value_shape)
+    best, arg = -1.0, (0, 1)
+
+    def visit(i: np.ndarray, j: np.ndarray) -> None:
+        """Evaluate the pairs (i, j), broadcast in row-major order of (i, j)."""
+        nonlocal best, arg
+        i, j = np.broadcast_arrays(i, j)
+        ratios = _mags(v[j] - v[i], vndim) / (t[j] - t[i]) ** mu
+        k = int(np.argmax(ratios))  # the first maximum: smallest i, then j
+        ratio, pair = float(ratios.flat[k]), (int(i.flat[k]), int(j.flat[k]))
+        if ratio > best or (ratio == best and pair < arg):
+            best, arg = ratio, pair
+
+    for lag in sorted(set(range(1, min(_SEED_LAGS, n + 1))) | {1 << k for k in range(n.bit_length())}):
+        i = np.arange(n + 1 - lag)
+        visit(i, i + lag)
+    blocks = []  # (bound, first row s, band L)
+    hi = v.reshape(n + 1, -1).copy()  # per component: max and min over rows [r, r + width), clipped at n
+    lo = hi.copy()
+    width = 1
+    while width <= n:
+        if width >= _SEED_LAGS:
+            s = np.arange(0, n + 1 - width, width)
+            windows = (s, s + width, np.minimum(s + 2 * width - 1, n))  # together rows [s, s + 3L - 1)
+            with np.errstate(over="ignore"):
+                spread = np.max([hi[w] for w in windows], axis=0) - np.min([lo[w] for w in windows], axis=0)
+                bound = _mags(spread, 1) * _BOUND_SAFETY / np.min(t[width:] - t[:-width]) ** mu
+            blocks += zip(bound.tolist(), s.tolist(), [width] * len(s))
+        np.maximum(hi[:-width], hi[width:], out=hi[:-width])
+        np.minimum(lo[:-width], lo[width:], out=lo[:-width])
+        width *= 2
+    for bound, s, width in sorted(blocks, key=lambda b: -b[0]):
+        if bound < best:
+            break
+        if bound == best and (s, s + width) >= arg:
+            continue
+        rows = np.arange(s, min(s + width, n + 1 - width))
+        lags = np.arange(width, 2 * width)
+        step = max(1, _CHUNK_PAIRS // width)
+        for c in range(0, len(rows), step):
+            i = rows[c : c + step, None]
+            # a lag past n repeats the pair (i, n) after its first occurrence
+            visit(i, np.minimum(i + lags, n))
+    return HolderNorm(mu, best, arg, (float(t[arg[0]]), float(t[arg[1]])))
 
 
 def sup_norm(p: Path) -> float:

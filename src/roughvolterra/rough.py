@@ -32,8 +32,8 @@ from .algebra import (
     Increment2,
     Path,
     _cell_prefix,
-    delta1,
     holder_norm,
+    path_holder_norm,
     sup_norm,
 )
 from .coefficients import Coefficient
@@ -197,13 +197,17 @@ class ControlledPath:
         return Increment2(self.x.grid, fn, self.y.value_shape)
 
     def qnorm(self) -> QNorm:
-        """Measure the four components at (gamma, eta). Quadratic cost."""
+        """Measure the four components at (gamma, eta).
+
+        The path norms take `path_holder_norm`'s pruned scan; the remainder
+        is not a path increment and scans all O(n^2) pairs.
+        """
         return QNorm(
             gamma=self.gamma,
             eta=self.eta,
-            y_holder=holder_norm(delta1(self.y), self.gamma).value,
+            y_holder=path_holder_norm(self.y, self.gamma).value,
             yprime_sup=sup_norm(self.yprime),
-            yprime_holder=holder_norm(delta1(self.yprime), self.eta - self.gamma).value,
+            yprime_holder=path_holder_norm(self.yprime, self.eta - self.gamma).value,
             remainder=holder_norm(self.remainder(), self.eta).value,
         )
 

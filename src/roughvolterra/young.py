@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Grid, HolderNorm, Increment2, Path, _cell_prefix, holder_norm, delta1
+from .algebra import Grid, HolderNorm, Increment2, Path, _cell_prefix, path_holder_norm
 from .coefficients import Coefficient
 from .signals import estimate_holder
 
@@ -142,7 +142,7 @@ def compose_coeff(
         est = estimate_holder(y)
         rho = 1.0 if est.degenerate else min(1.0, max(est.value, 0.05))
     composed = Path(grid, values)
-    empirical = holder_norm(delta1(composed), rho) if diagnostics else None
+    empirical = path_holder_norm(composed, rho) if diagnostics else None
     return YoungIntegrand(composed, rho, empirical)
 
 

@@ -293,8 +293,8 @@ def test_criterion_10_fixed_point_uniqueness():
             ),
         ),
     }
-    # other window tilings change the history split and the sweep order,
-    # not the fixed point they solve for
+    # one sweep over all rows writes the solution and the window tiling only
+    # partitions the report, so every tiling reads a deviation of 0.0
     devs = {}
     ok = True
     for name, (fn, p) in problems.items():

@@ -1,5 +1,6 @@
 """Increment calculus: coboundaries, Hölder norms, sewing, compensation."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,10 +24,62 @@ from roughvolterra.algebra import (
     sup_norm,
     zero_increment2,
 )
+from roughvolterra.signals import FbmSpec, generate_fbm
 
 
 def scalar_path(grid: Grid, f) -> Path:
     return Path(grid, f(grid.times)[:, None])
+
+
+@st.composite
+def pruning_cases(draw):
+    """A path on n <= 512 steps, so that the bands of lags from 32 up prune, and an exponent.
+
+    Ties come from constant stretches, ramps at exponent one and repeated
+    values; ``huge`` entries near 1e200 overflow when squared.
+    """
+    n = draw(st.sampled_from([1, 8, 32, 64, 128, 256, 512]))
+    shape = draw(st.sampled_from([(1,), (2,), (3,), (2, 2)]))
+    kind = draw(st.sampled_from(["walk", "constant", "ramp", "repeats", "tail", "huge"]))
+    horizon = draw(st.sampled_from([1.0, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.cumsum(rng.standard_normal((n + 1,) + shape), axis=0)
+    if kind == "constant":
+        values[:] = 0.25
+    elif kind == "ramp":
+        values = np.multiply.outer(np.arange(n + 1.0), rng.standard_normal(shape))
+    elif kind == "repeats":
+        values = rng.integers(-2, 3, values.shape).astype(float)
+    elif kind == "tail":  # a partial solve: a random prefix, then constant
+        cut = draw(st.integers(0, n))
+        values[cut:] = values[cut]
+    elif kind == "huge":
+        values *= 1e200
+    mu = 1.0 if kind == "ramp" else draw(st.sampled_from([0.3, 0.38, 0.5, 0.7, 1.0]))
+    return Path(Grid(horizon, n), values), mu
+
+
+def lag_tie():
+    # (0, 36) and the seeded (100, 101) both read 96 exactly: the band pair comes first
+    v = np.minimum(np.arange(257.0), 36.0)
+    v[101:] += 6.0
+    return Path(Grid(1.0, 256), v[:, None]), 0.5, (0, 36)
+
+
+def block_end():
+    # a ramp over rows 95..135: the largest ratio, at lag 40 from the last
+    # row of block [64, 96), reaches past row 64 + 2 * 32
+    v = np.clip(np.arange(257.0), 95.0, 135.0)
+    return Path(Grid(1.0, 256), v[:, None]), 0.3, (95, 135)
+
+
+def inf_ties():
+    # increments overflow at (0, 40), (0, 41) and the seeded (50, 51): the
+    # block holding (0, 40) has bound inf, equal to the seeded maximum
+    v = np.zeros((129, 2))
+    v[0, 0], v[40:42, 0] = -1.7e308, 1.7e308
+    v[50, 1], v[51, 1] = -1.7e308, 1.7e308
+    return Path(Grid(512.0, 128), v), 1.0, (0, 40)
 
 
 def germ_product(grid: Grid, z: np.ndarray, x: np.ndarray) -> Increment2:
@@ -202,10 +255,57 @@ class TestHolderNorm:
         assert h.arg_pair == (0, 2)
         assert h.arg_times == (0.0, 0.5)
 
+    @given(pruning_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_pruned_scan_is_the_all_pairs_scan(self, case):
+        p, mu = case
+        # no warning either: the block bounds of the 1e200 paths overflow when squared
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pruned, full = path_holder_norm(p, mu), holder_norm(delta1(p), mu)
+        assert (pruned.value, pruned.arg_pair, pruned.arg_times) == (full.value, full.arg_pair, full.arg_times)
+
+    @pytest.mark.parametrize("case", [lag_tie, block_end, inf_ties], ids=lambda case: case.__name__)
+    def test_pruned_scan_edge_cases(self, case):
+        p, mu, arg = case()
+        with np.errstate(over="ignore"):
+            pruned, full = path_holder_norm(p, mu), holder_norm(delta1(p), mu)
+        assert full.arg_pair == arg
+        assert (pruned.value, pruned.arg_pair) == (full.value, full.arg_pair)
+
+    @pytest.mark.parametrize("n, dim, hurst, mu, seed", [(2048, 2, 0.4, 0.38, 99), (8192, 1, 0.75, 0.7, 31)])
+    def test_pruned_scan_is_the_all_pairs_scan_on_fbm(self, n, dim, hurst, mu, seed):
+        p = generate_fbm(FbmSpec(hurst=hurst, dim=dim, grid=Grid(1.0, n), seed=seed))
+        pruned, full = path_holder_norm(p, mu), holder_norm(delta1(p), mu)
+        assert (pruned.value, pruned.arg_pair) == (full.value, full.arg_pair)
+
+    def test_pruned_scan_allocates_in_row_chunks(self):
+        # this path evaluates blocks up to L = 1024, where one L x L batch
+        # of 2-vectors alone would take 16 MB
+        p = generate_fbm(FbmSpec(hurst=0.75, dim=2, grid=Grid(1.0, 8192), seed=5))
+        tracemalloc.start()
+        try:
+            path_holder_norm(p, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    @pytest.mark.parametrize("values", [np.arange(65.0)[:, None], np.zeros((65, 1))], ids=["ramp", "zero"])
+    def test_underflowing_gaps_take_the_all_pairs_scan(self, values):
+        # (t_j - t_i)^2 underflows to 0 on this grid: ratios are inf, or nan for a zero increment
+        p = Path(Grid(1e-300, 64), values)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pruned, full = path_holder_norm(p, 2.0), holder_norm(delta1(p), 2.0)
+        assert pruned.arg_pair == full.arg_pair == (0, 1)
+        assert np.array_equal(pruned.value, full.value, equal_nan=True)
+
     def test_rejects_nonpositive_exponent(self):
         g = Grid(1.0, 8)
         with pytest.raises(ValueError):
             holder_norm(zero_increment2(g), 0.0)
+        with pytest.raises(ValueError):
+            path_holder_norm(scalar_path(g, np.sin), 0.0)
 
     def test_split_norm_matches_brute_force(self):
         rng = np.random.default_rng(5)
