@@ -19,8 +19,9 @@ Built-in families: constant, linear in the state, separable
 phi(t - u) * psi(y), and trigonometric.  Each depends on the outer time
 only through lag-weighted exponentials (t - u)^p e^(z (t - u)), p in
 {0, 1}, and is defined by that form alone, as `Modes`: its ``eval_many``
-and ``d3_many`` are the modal sums, and the solver sums earlier cells by
-running sums over the modes.  Custom coefficients carry no modes.
+and ``d3_many`` are the modal sums.  On the uniform grid such a sigma is a
+causal convolution in the lag, which the solver sums by FFT block sums, as
+it does the singular kernel's one mode.  Custom coefficients carry no modes.
 """
 from __future__ import annotations
 
@@ -208,7 +209,8 @@ MATRIX_FUNCS = {"ones": _ones_map, "identity": _identity_map, "sin_plus": _sin_p
 class Modes:
     """sigma(t, u, y) = Re sum_k (t - u)^powers[k] e^(rates[k] (t - u)) B_k(u, y): the outer time, exactly.
 
-    ``powers`` holds one lag power per mode, 0 or 1.  ``value(us, ys)``
+    ``powers`` holds one lag power per mode: 0 or 1 in the coefficient
+    families, -alpha in the singular kernel's one mode.  ``value(us, ys)``
     returns B, shape (..., K, d, n), for inner times ``us`` (...) and
     states ``ys`` (..., d); ``jac(us, ys, b)`` returns the state derivative
     D_y B, shape (..., K, d, n, d), given ``b = value(us, ys)``.  B is real
@@ -277,25 +279,31 @@ class Coefficient:
 
         Uses a deterministic quasi-random point set inside ``probe_box``,
         evaluated in one batch per state component.  Raises ValueError
-        naming the first probe point (t, u) that disagrees.
+        naming the first probe point (t, u) where sigma is not finite or,
+        failing that, the first where the derivative disagrees.
         """
         pts = self._probes(n_probes)
         t, u, y = pts[:, 0], pts[:, 1], pts[:, 2:]
-        atol = 1e-6 * max(1.0, float(np.max(np.abs(self.eval_many(t, u, y)))))
-        jac = self.d3_many(t, u, y)
-        fd = np.empty_like(jac)
-        t2, u2 = np.concatenate([t, t]), np.concatenate([u, u])
-        for c in range(self.d_dim):
-            dy = np.zeros(self.d_dim)
-            dy[c] = step
-            plus, minus = np.split(self.eval_many(t2, u2, np.concatenate([y + dy, y - dy])), 2)
-            fd[..., c] = (plus - minus) / (2 * step)
-        bad = ~np.isclose(jac, fd, rtol=rtol, atol=atol).reshape(n_probes, -1).all(axis=1)
+        with np.errstate(all="ignore"):
+            value = self.eval_many(t, u, y)
+            self._first_bad(~np.isfinite(value), t, u, "sigma is not finite")
+            jac = self.d3_many(t, u, y)
+            fd = np.empty_like(jac)
+            t2, u2 = np.concatenate([t, t]), np.concatenate([u, u])
+            for c in range(self.d_dim):
+                dy = np.zeros(self.d_dim)
+                dy[c] = step
+                plus, minus = np.split(self.eval_many(t2, u2, np.concatenate([y + dy, y - dy])), 2)
+                fd[..., c] = (plus - minus) / (2 * step)
+            atol = 1e-6 * max(1.0, float(np.max(np.abs(value))))
+            self._first_bad(~np.isclose(jac, fd, rtol=rtol, atol=atol), t, u, "d3 disagrees with finite differences")
+
+    def _first_bad(self, bad: np.ndarray, t: np.ndarray, u: np.ndarray, what: str) -> None:
+        """Raise ValueError naming ``what`` at the first probe point (t, u) with any entry of ``bad`` set."""
+        bad = bad.reshape(len(t), -1).any(axis=1)
         if bad.any():
             k = int(np.argmax(bad))
-            raise ValueError(
-                f"coefficient '{self.name}': d3 disagrees with finite differences at {(float(t[k]), float(u[k]))}"
-            )
+            raise ValueError(f"coefficient '{self.name}': {what} at {(float(t[k]), float(u[k]))}")
 
 
 def _halton(n_points: int, dim: int) -> np.ndarray:
@@ -376,14 +384,19 @@ def separable_coefficient(phi: ScalarFunc, psi: MatrixFunc) -> Coefficient:
     spans the causal lags t in [0, 1]: a fast ``exp_decay`` overflows at
     negative lags, which no solve evaluates.
     """
-    modes = Modes(
-        np.array([phi.rate]),
-        np.array([phi.power]),
+    modes = _lag_times_psi(phi.rate, phi.power, psi)
+    name = f"separable({phi.name},{psi.name})"
+    return _from_modes(psi.d_dim, psi.n_dim, modes, name, probe_box=((0.0, 1.0), (0.0, 0.0), (-1.0, 1.0)))
+
+
+def _lag_times_psi(rate: complex, power: float, psi: MatrixFunc) -> Modes:
+    """(t - u)^power e^(rate (t - u)) psi(y) as one mode, B = psi(y)."""
+    return Modes(
+        np.array([rate]),
+        np.array([power]),
         lambda us, ys: psi.value(ys)[..., None, :, :],
         lambda us, ys, b: psi.jac(ys)[..., None, :, :, :],
     )
-    name = f"separable({phi.name},{psi.name})"
-    return _from_modes(psi.d_dim, psi.n_dim, modes, name, probe_box=((0.0, 1.0), (0.0, 0.0), (-1.0, 1.0)))
 
 
 def trig_coefficient(

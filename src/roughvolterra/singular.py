@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Path, _is_power_of_two
-from .coefficients import MatrixFunc
+from .coefficients import MatrixFunc, Modes, _lag_times_psi
 
 __all__ = [
     "KernelSpec",
@@ -76,6 +76,11 @@ class KernelSpec:
     @property
     def contraction_exponent(self) -> float:
         return 0.5 * (self.kappa + self.gamma - self.alpha)
+
+    @property
+    def modes(self) -> Modes:
+        """The kernel as one `Modes` term: lag power -alpha, rate 0, B = psi(y)."""
+        return _lag_times_psi(0.0, -self.alpha, self.psi)
 
     @property
     def d_dim(self) -> int:

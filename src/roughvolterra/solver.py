@@ -26,19 +26,22 @@ time, which for the rough regime is a legitimate outcome rather than an
 error: only local solvability is guaranteed there, and the report marks
 everything past the first window as heuristic continuation.
 
-Cost in grid steps n: a young or rough solve with a built-in coefficient
-family is O(n K), its K modes (t - u)^p e^(z (t - u)) in the outer time
-carried as running sums; with a custom coefficient it is O(n^2), every row
-summing its earlier cells.  On the uniform grid the
-singular kernel is Toeplitz, so a singular solve is a causal convolution:
-one blocked forward substitution whose block sums are FFTs (`numpy.fft`),
-O(n log^2 n).
+Cost in grid steps n: every built-in coefficient family, and the singular
+kernel, depends on the outer time only through the lag, as K modes
+(t - u)^p e^(z (t - u)) (K = 1 for each), so on the uniform grid a solve is
+a causal convolution: one blocked forward substitution whose block sums
+are FFTs (`numpy.fft`), O(n K log^2 n).  A custom coefficient costs O(n^2),
+every row summing its earlier cells.  The direct row loop's per-row
+constant outweighs the log factors: at n = 2^19 a young solve took 4.3 s
+and a rough one 12.5 s, against 5.2 s and 14.8 s for an O(n K) running-sum
+recursion over the modes (min of 3, 2-core Xeon, one BLAS thread).
 
 All reported norms are discrete-grid quantities measured over dyadic time
 lags, hence lower bounds on their continuum counterparts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -227,24 +230,15 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
 #   (Gamma y)_m = a + sum over cells l < m of the regime's germ at outer time t_m.
 # Row m reads only rows < m, so one sweep that writes each row before the
 # next one reads it is forward substitution onto the fixed point; it returns
-# its first non-finite row.  `_RowSums` (young, rough) sums each row's cells
-# at t_m, `_Modes` (young, rough, coefficients with modes) carries running
-# sums, `_Convolution` (singular) convolves.  A window's residual sums the
-# cells l <= start (its history) in one piece and recomputes its own cells
-# (start, m) from y in one batch; `_Modes` and `_Convolution` sum those by FFT.
+# its first non-finite row.  `_Convolution` solves every sigma with modes (the
+# built-in families and the singular kernel), whose germ depends on the outer
+# time only through the lag; `_RowSums` sums each row's cells at t_m for a
+# custom sigma.  A window's residual sums the cells l <= start (its history)
+# in one piece and recomputes its own cells (start, m) from y in one batch.
 # ---------------------------------------------------------------------------
 
-# The most rows a singular sweep solves by the direct row loop; larger blocks split in two.
+# The most rows a sweep solves by the direct row loop; larger blocks split in two.
 LEAF_ROWS = 64
-
-
-def _causal(weights: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Rows i < len(cells) of the sum over j <= i of weights[i - j] cells[j]: one zero-padded FFT on axis 0."""
-    rows = len(cells)
-    size = 1 << (2 * rows - 2).bit_length()  # no wrap into the first `rows` outputs
-    real = not (np.iscomplexobj(weights) or np.iscomplexobj(cells))
-    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    return inv(fwd(weights[:rows], size, axis=0) * fwd(cells, size, axis=0), size, axis=0)[:rows]
 
 
 class _RowSums:
@@ -298,161 +292,99 @@ class _RowSums:
             return float(np.max(np.abs(np.array(rows) - y[start + 1 : end + 1])))
 
 
-class _Modes:
-    """Young and rough steps for sigma = Re sum_k (t - u)^p_k e^(z_k (t - u)) B_k(u, y) (`Modes`).
+class _Convolution:
+    """Steps for sigma = Re sum_k (t - u)^p_k e^(z_k (t - u)) B_k(u, y) (`Modes`): a causal discrete convolution.
 
-    Row m is a + Re sum_k Z_k[m], where Z_k[m] sums (t_m - t_l)^p_k
-    e^(z_k (t_m - t_l)) g_l over the cells l < m and the per-cell term
+    On the uniform grid t_m - t_l = t_(m-l), so
+    y_m = a + Re sum_k sum over l < m of K[m - l, k] g_l[k], the lag weights
+    K[j, k] = t_j^p_k e^(z_k t_j) computed once per solve (the singular
+    kernel: one mode t_j^(-alpha)) and the per-cell term
     g_l = B(t_l, y_l) dx_l (plus D_y B(t_l, y_l) . w_l in the rough regime,
-    w_l = y'_l . adj_l) is set once when row l is written.  The sweep
-    carries the lag-free sums Z0[m + 1] = e^(z h_m) (Z0[m] + g_m) of every
-    mode and, for the power-1 modes only,
-    Z1[m + 1] = e^(z h_m) Z1[m] + h_m Z0[m + 1].
-    The weights are never split into e^(-z t) e^(z u), so for Re z <= 0 the
-    exponentials never exceed 1 in modulus.  One evaluation of B per written
-    row also gives the rough y'_m, Re B_k(t_m, y_m) summed over the power-0
-    modes.  O(n K) per solve.  A residual sums the cells before its window
-    with one weighted sum, recomputes the window's own cells in one batch
-    and convolves them with t_k^p e^(z t_k) by FFT, as the uniform grid has
-    t_m - t_l = t_(m-l).
+    w_l = y'_l . adj_l) once when row l is written; the same evaluation of
+    B gives the rough y'_l, Re B_k(t_l, y_l) summed over the power-0 modes.
+    The sweep is the recursion of Hairer, Lubich and Schlichte (1985) over
+    rows 1..n: solve the left half of a block, add its cells to the right
+    half with one FFT middle product, solve the right half; blocks of at
+    most `LEAF_ROWS` rows are solved row by row.  A residual sums the cells
+    before its window with one FFT middle product and its own cells,
+    recomputed from y, with one causal FFT.  Each FFT sum adds the modes
+    before its inverse.
+
+    An FFT rounds relative to its largest term, so the FFTs take the
+    bounded weights Kt = t^p e^((z - c) t), c = max(0, max Re z), a block's
+    cells scaled by e^(-c (t_l - t_lo)) and its rows by e^(c (t_m - t_lo)):
+    a growing mode rounds each row relative to its own terms.  Values near
+    the float ceiling overflow to inf silently, as in a row sum.  An FFT
+    spreads a non-finite cell over its block as nan, so a sweep stops at its
+    first non-finite row, whose predecessors read finite cells.
     """
 
     def __init__(self, p: VolterraProblem, y: np.ndarray):
         modes, n = p.coefficient.modes, p.grid.n_steps
         self.a, self.y, self.times = p.a, y, p.grid.times
-        self.rates, self.value, self.jac = modes.rates, modes.value, modes.jac
-        lagged = np.flatnonzero(modes.powers)
-        self.lagged = lagged if len(lagged) else None  # the power-1 modes
-        self.free = np.flatnonzero(modes.powers == 0)
-        # row n closes no cell: a zero increment (and lift) and a unit shift
-        # let it take the same steps as the others
-        self.dx = np.concatenate([p.driver.cells(), np.zeros((1, p.n_dim))])
-        self.h = np.diff(self.times, append=self.times[-1])
-        self.shift = np.exp(self.h[:, None, None] * self.rates[:, None])
-        self.lshift = None if self.lagged is None else self.shift[:, self.lagged]
-        self.g = np.empty((n + 1, len(self.rates), p.d_dim), dtype=np.result_type(self.rates, float))
+        self.value, self.jac = modes.value, modes.jac
+        self.free = np.flatnonzero(modes.powers == 0)  # the modes of y' = sigma(t, t, y): a zero lag kills power 1
+        # row n closes no cell: a zero increment (and lift) lets it take the same steps as the others
+        self.dx = np.concatenate([p.driver.cells(), np.zeros((1, p.n_dim))])[:, None, :, None]
         self.yp = self.adj = None
         if p.regime == "rough":
             self.yp = np.empty((n + 1, p.d_dim, p.n_dim))
             self.adj = np.concatenate([p.lift.adjacent, np.zeros((1, p.n_dim, p.n_dim))])
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.store(0)
-
-    def store(self, m: int) -> None:
-        g, yp = self.cells(m, m + 1)
-        self.g[m] = g[0]
-        if yp is not None:
-            self.yp[m] = yp[0]
-
-    def cells(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """g[lo:hi] and, in the rough regime, y'[lo:hi], from one evaluation of B at (t_m, y_m)."""
-        us, ys = self.times[lo:hi], self.y[lo:hi]
-        b = self.value(us, ys)
-        g = (b @ self.dx[lo:hi, None, :, None])[..., 0]
-        if self.yp is None:
-            return g, None
-        yp = np.add.reduce((b if self.lagged is None else b[:, self.free]).real, 1)  # a zero lag kills power 1
-        w = (yp @ self.adj[lo:hi]).swapaxes(1, 2).reshape(hi - lo, 1, -1, 1)
-        g += (self.jac(us, ys, b).reshape(b.shape[:3] + (-1,)) @ w)[..., 0]  # D_y B[k, a, b, c] w[c, b]
-        return g, yp
-
-    def sweep(self) -> int | None:
-        y, a, g, h, shift, lshift, store = self.y, self.a, self.g, self.h, self.shift, self.lshift, self.store
-        finite, add, free, lagged = np.isfinite, np.add.reduce, self.free, self.lagged
-        mixed = len(free) > 0  # power-0 modes beside the power-1 ones
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = shift[0] * g[0]  # the sums at row 1 hold cell 0 alone
-            z1 = None if lagged is None else h[0] * z[lagged]
-            for m in range(1, len(y)):
-                if z1 is None:
-                    y[m] = a + add(z.real, 0)
-                elif mixed:
-                    y[m] = a + add(z[free].real, 0) + add(z1.real, 0)
-                else:
-                    y[m] = a + add(z1.real, 0)
-                if not finite(y[m]).all():
-                    return m
-                store(m)
-                z = shift[m] * (z + g[m])
-                if z1 is not None:
-                    z1 = lshift[m] * z1 + h[m] * z[lagged]
-        return None
-
-    def residual(self, start: int, end: int) -> float:
-        y, rows, lagged = self.y, end - start, self.lagged
-        back, g, lags = self.times[start + 1] - self.times[: start + 1], self.g[: start + 1], self.times[:rows, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the history at row start + 1: Z0 of every mode and Z1 of the power-1 modes
-            decay = np.exp(back[:, None] * self.rates)
-            z0 = np.einsum("lk,lkd->kd", decay, g)
-            z1 = None if lagged is None else np.einsum("lk,lkd->kd", back[:, None] * decay[:, lagged], g[:, lagged])
-            weights = np.exp(lags * self.rates)[:, :, None]
-            z = weights * z0
-            if rows > 1:  # a one-row window has no cells of its own
-                cells = self.cells(start + 1, end)[0]
-                z[1:] += _causal(weights[1:], cells)
-            if lagged is not None:  # row k: e^(z t_k) (Z1 + t_k Z0) of the history, cells weighted t_k e^(z t_k)
-                decay = weights[:, lagged]
-                z1 = decay * z1 + lags[:, :, None] * decay * z0[lagged]
-                if rows > 1:
-                    z1[1:] += _causal(lags[1:, :, None] * decay[1:], cells[:, lagged])
-                z = np.concatenate([z[:, self.free], z1], axis=1)
-            return float(np.max(np.abs(self.a + np.add.reduce(z.real, 1) - y[start + 1 : end + 1])))
-
-
-class _Convolution:
-    """Singular steps: y_m = a + sum over l < m of K[m - l] g_l, a causal discrete convolution.
-
-    On the uniform grid t_m - t_l = t_(m-l), so the kernel weights
-    K[k] = t_k^(-alpha) are computed once per solve, and the per-cell term
-    g_l = psi(y_l) dx_l once when row l is written.  The sweep is the
-    recursion of Hairer, Lubich and Schlichte (1985) over rows 1..n: solve
-    the left half of a block, add its cells to the right half with one FFT,
-    solve the right half; blocks of at most `LEAF_ROWS` rows are solved row
-    by row.  O(n log^2 n) per solve.  A residual sums the cells before its
-    window with one FFT middle product and its own cells, recomputed from
-    y, with one causal FFT.
-
-    Values near the float ceiling overflow to inf silently, as in a row
-    sum.  An FFT spreads a non-finite cell over its block as nan, so a sweep
-    stops at its first non-finite row, whose predecessors read finite cells.
-    """
-
-    yp = None
-
-    def __init__(self, p: VolterraProblem, y: np.ndarray):
-        self.a, self.y = p.a, y
-        self.psi, self.dx = p.coefficient.psi.value, p.driver.cells()
+        lags, self.c = self.times[:, None], max(0.0, float(np.max(modes.rates.real)))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            self.K = p.grid.times ** -p.coefficient.alpha  # K[0] = inf: no cell weighs its own row
-            self.g = np.empty((p.grid.n_steps, p.d_dim))
-            self.g[0] = self.psi(p.a) @ self.dx[0]
+            power = lags**modes.powers  # inf at lag 0 for the singular kernel: no cell weighs its own row
+            # each lag's modes reversed, so row m's weights on cells [lo, m) are one reversed slice
+            self.leaf = (power * np.exp(lags * modes.rates))[:, ::-1].ravel()
+            self.K = self.leaf.reshape(n + 1, -1)[:, ::-1]
+            self.Kt = power * np.exp(lags * (modes.rates - self.c)) if self.c > 0 else self.K
+        self.complex = np.iscomplexobj(self.K)
+        self.fft = (np.fft.fft, np.fft.ifft) if self.complex else (np.fft.rfft, np.fft.irfft)
+        self.g = np.empty((n + 1, self.K.shape[1], p.d_dim, 1), dtype=self.K.dtype)  # (..., 1): a matmul's output
         self.acc = np.empty_like(y)  # per row: a plus the cells summed so far
         self.spectra: dict[int, np.ndarray] = {}
 
+    def cells(self, rows: int | slice, out: np.ndarray | None = None, yp: np.ndarray | None = None) -> np.ndarray:
+        """g[rows], shape (..., K, d, 1), into ``out``; the same evaluation of B gives the rough y'[rows] into ``yp``."""
+        us, ys = self.times[rows], self.y[rows]
+        b = self.value(us, ys)
+        g = np.matmul(b, self.dx[rows], out=out)
+        if self.adj is None:
+            return g
+        yp = np.add.reduce(b[..., self.free, :, :].real, -3, out=None if yp is None else yp[rows])
+        w = (yp @ self.adj[rows]).swapaxes(-1, -2).reshape(yp.shape[:-2] + (1, -1, 1))
+        g += self.jac(us, ys, b).reshape(b.shape[:-1] + (-1,)) @ w  # D_y B[k, a, b, c] w[c, b]
+        return g
+
     def sweep(self) -> int | None:
         with np.errstate(over="ignore", invalid="ignore"):
-            self.acc[1:] = self.a + self.K[1:, None] * self.g[0]
+            self.cells(0, self.g[0], self.yp)
+            first = self.K[1:] @ self.g[0, ..., 0]  # every row's cell 0
+            self.acc[1:] = self.a + (first.real if self.complex else first)
             return self._solve(1, len(self.y))
 
     def residual(self, start: int, end: int) -> float:
         y, rows = self.y, end - start
         with np.errstate(over="ignore", invalid="ignore"):
-            cells = (self.psi(y[start + 1 : end]) @ self.dx[start + 1 : end, :, None])[..., 0]
             out = self.a + self._convolve(0, start + 1, end + 1)
-            out[1:] += _causal(self.K[1:rows, None], cells)
+            if rows > 1:  # a one-row window has no cells of its own
+                size = 1 << (2 * rows - 4).bit_length()  # no wrap into the rows - 1 outputs
+                weights = self.fft[0](self.Kt[1:rows], size, axis=0)[:, :, None]
+                cells = self._hat(self.cells(slice(start + 1, end))[..., 0], size)
+                out[1:] += self._spread(np.multiply(weights, cells, out=cells), size, 0, rows - 1)
             return float(np.max(np.abs(out - y[start + 1 : end + 1])))
 
     def _solve(self, lo: int, hi: int) -> int | None:
         """Write rows [lo, hi), whose ``acc`` holds every cell before ``lo``; the first non-finite row, if any."""
         if hi - lo <= LEAF_ROWS:
-            y, g, K, acc, psi, dx, cells = self.y, self.g, self.K, self.acc, self.psi, self.dx, len(self.g)
+            y, g, leaf, acc, cells, yp = self.y, self.g, self.leaf, self.acc, self.cells, self.yp
+            modes, d = g.shape[1:3]
+            flat, real = g.reshape(-1, d), not self.complex  # cell l's modes: rows l K .. l K + K - 1 of flat
             for m in range(lo, hi):
-                y[m] = acc[m] + K[m - lo : 0 : -1] @ g[lo:m]
-                if not np.isfinite(y[m]).all():
+                s = leaf[(m - lo + 1) * modes - 1 : modes - 1 : -1] @ flat[lo * modes : m * modes]
+                y[m] = row = acc[m] + (s if real else s.real)
+                if not all(map(math.isfinite, row)):  # half the cost of np.isfinite(row).all() per row
                     return m
-                if m < cells:
-                    g[m] = psi(y[m]) @ dx[m]
+                cells(m, g[m], yp)
             return None
         mid = (lo + hi) // 2
         bad = self._solve(lo, mid)
@@ -464,16 +396,34 @@ class _Convolution:
     def _convolve(self, lo: int, mid: int, hi: int) -> np.ndarray:
         """Rows [mid, hi) of the sum over cells [lo, mid) of K[m - l] g_l: one FFT middle product.
 
-        The lags run from 1 to hi - lo - 1, so a circular convolution of
-        that length, rounded up to a power of two, wraps nothing into these
-        rows.
+        The lags run from 1 to hi - lo - 1, so a circular convolution of that
+        length, rounded up to a power of two, wraps nothing into these rows.
         """
         size = 1 << (hi - lo - 2).bit_length()
         spectrum = self.spectra.get(size)
         if spectrum is None:
-            spectrum = self.spectra[size] = np.fft.rfft(self.K[1 : size + 1], size)
-        cells = np.fft.rfft(self.g[lo:mid], size, axis=0)
-        return np.fft.irfft(cells * spectrum[:, None], size, axis=0)[mid - lo - 1 : hi - lo - 1]
+            spectrum = self.spectra[size] = self.fft[0](self.Kt[1 : size + 1], size, axis=0)
+        cells = self._hat(self.g[lo:mid, ..., 0], size)
+        return self._spread(np.multiply(cells, spectrum[:, :, None], out=cells), size, mid - lo - 1, hi - mid)
+
+    def _hat(self, cells: np.ndarray, size: int) -> np.ndarray:
+        """The FFT of ``cells`` zero-padded to ``size``, cell j scaled by e^(-c t_j) first."""
+        if self.c > 0:
+            cells = cells * np.exp(-self.c * self.times[: len(cells), None, None])
+        return self.fft[0](cells, size, axis=0)
+
+    def _spread(self, product: np.ndarray, size: int, skip: int, rows: int) -> np.ndarray:
+        """Outputs [skip, skip + rows) of the inverse FFT of ``product``, summed over the modes in place.
+
+        ``product`` pairs the FFT of Kt[1:] with a `_hat`; output i is scaled
+        by e^(c t_(1 + i)), so it sums the cells j at their lag-(1 + i - j)
+        weight of K.
+        """
+        for k in range(1, product.shape[1]):
+            product[:, 0] += product[:, k]
+        out = self.fft[1](product[:, 0], size, axis=0)[skip : skip + rows]
+        out = out.real if self.complex else out
+        return out if self.c == 0 else out * np.exp(self.c * self.times[skip + 1 : skip + 1 + rows, None])
 
 
 def solve(
@@ -501,8 +451,7 @@ def solve(
     cap = max(n // 2, 1)
 
     y = np.tile(p.a, (n + 1, 1))
-    kind = _Convolution if p.regime == "singular" else _RowSums if p.coefficient.modes is None else _Modes
-    steps = kind(p, y)
+    steps = (_RowSums if p.coefficient.modes is None else _Convolution)(p, y)
     bad = steps.sweep()
     solved_steps = n if bad is None else bad - 1  # the map is causal: the rows before `bad` are exact
 

@@ -240,6 +240,23 @@ class TestConfig:
         assert code == EXIT_INVALID
         assert "gamma - alpha > 1/2" in capsys.readouterr().err
 
+    def test_overflowing_coefficient_is_named_on_stderr(self, tmp_path, capsys):
+        # e^(1000 (t - u)) overflows at the derivative probe's lag 0.75: the
+        # probe says so, without numpy warnings, rather than blame d3
+        data = exp_sine_config(n_steps=64)
+        data["coefficient"] = {
+            "family": "separable",
+            "params": {"phi": {"name": "exp_decay", "rate": -1000.0}, "psi": {"name": "sin_plus", "shift": 1.0}},
+        }
+        cfg = write_config(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert "sigma is not finite at (0.75, 0.0)" in err
+        assert "Warning" not in err
+
     def test_malformed_json_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"version": 1,,}')
@@ -385,7 +402,7 @@ COEFFICIENT_ENTRIES = {
 
 
 class TestCoefficientDispatch:
-    """A config's coefficient solves by running sums over its modes (O(n)), not by row sums (O(n^2))."""
+    """A config's coefficient solves by convolution over its modes (O(n log^2 n)), not by row sums (O(n^2))."""
 
     def test_entries_cover_every_family(self):
         with pytest.raises(ValueError, match=r"\(expected constant, linear, separable or trig\)"):

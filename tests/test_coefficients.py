@@ -1,4 +1,6 @@
 """Coefficient families: closed-form values, derivative probing, batching."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -73,6 +75,14 @@ class TestDerivativeProbe:
         # the first probe point, (t, u) = (0, 0), already disagrees; plain floats in the message
         with pytest.raises(ValueError, match=r"^coefficient 'broken': d3 disagrees with finite differences at \(0\.0, 0\.0\)$"):
             Coefficient(1, 1, eval_many=sin_of_state, d3_many=wrong_sin_jacobian, name="broken")
+
+    def test_non_finite_sigma_is_named(self):
+        # e^(1000 t) at u = 0 overflows past t = 0.71: the fourth probe point,
+        # (0.75, 0), is the first there, and the probe raises no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^coefficient '\S+': sigma is not finite at \(0\.75, 0\.0\)$"):
+                separable_coefficient(scalar_func("exp_decay", rate=-1000.0), matrix_func("sin_plus", shift=1.0))
 
     def test_validate_false_skips_probe(self):
         c = Coefficient(1, 1, eval_many=sin_of_state, d3_many=wrong_sin_jacobian, name="unchecked", validate=False)

@@ -450,7 +450,7 @@ def assert_settles_on(rep: SolverReport, schedule: list[tuple[int, int]]) -> Non
 
 
 class TestModalSums:
-    """Running sums over a built-in family's modes against the row sums of the same sigma.
+    """The convolution over a built-in family's modes against the row sums of the same sigma.
 
     The row-sum reference is solved once per problem, on the default
     windows: another tiling changes only its report.
@@ -484,6 +484,18 @@ class TestModalSums:
         rows = solve(dataclasses.replace(p, coefficient=without_modes(sigma)))
         assert rep.converged and np.isfinite(rep.solution.values).all()
         assert_close_relative(rep.solution.values, rows.solution.values, 1e-12)
+
+    @pytest.mark.parametrize("rate", [-10.0, -40.0])
+    def test_growing_mode_matches_row_sums_row_by_row(self, rate):
+        # e^(-rate (t - u)) grows to 2e4 (rate -10) and 2e17 (rate -40); an FFT
+        # rounds relative to its largest term, so block sums with unscaled
+        # weights read a pointwise error of 6.4e-8 at t ~ 0.5 (rate -40)
+        sigma = separable_coefficient(scalar_func("exp_decay", rate=rate), matrix_func("sin_plus", shift=1.0))
+        g = Grid(1.0, 4096)
+        p = VolterraProblem("young", 1.0, sigma, Path(g, np.sin(3 * g.times).reshape(-1, 1)), gamma=0.75, kappa=0.9)
+        got = solve(p).solution.values
+        want = solve(dataclasses.replace(p, coefficient=without_modes(sigma))).solution.values
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))  # measured <= 6.6e-15
 
     @pytest.mark.parametrize("path", ["modes", "rows"])
     def test_overflow_stops_at_the_first_non_finite_row(self, path):
@@ -653,7 +665,7 @@ class TestContinuationMechanics:
     @pytest.mark.parametrize("first", [1, 3, None], ids=["window-1", "window-3", "window-default"])
     @pytest.mark.parametrize("path", ["rows", "modes", "convolution"])
     def test_each_solve_sweeps_once(self, path, first, monkeypatch):
-        steps = {"rows": solver._RowSums, "modes": solver._Modes, "convolution": solver._Convolution}[path]
+        steps = {"rows": solver._RowSums, "modes": solver._Convolution, "convolution": solver._Convolution}[path]
         sweep, calls = steps.sweep, []
 
         def counted(self):
@@ -727,8 +739,8 @@ class TestOperatorEquation:
     """A converged solve satisfies its regime module's equation y_m - a = I(0, m).
 
     The young operator sums `young_row_sum` over every cell; the solver's
-    one sweep carries running sums over the coefficient's modes instead
-    (row sums only for a custom sigma).  Forward substitution solves the
+    one sweep convolves the coefficient's modes instead (row sums only for
+    a custom sigma).  Forward substitution solves the
     discrete equation exactly, so the two agree to rounding.  The singular
     operator sums `singular_row_sum`, which the solver's convolution does
     not call.  The row sums themselves are checked against independent
@@ -792,7 +804,7 @@ class TestReports:
             p = modal_case("rough", 512, "linear-identity")[0]
         else:
             p = rough_trig_fbm2d_problem() if path == "modes" else singular_sin_plus_problem()
-        steps = {"rows": solver._RowSums, "convolution": solver._Convolution}.get(path, solver._Modes)
+        steps = {"rows": solver._RowSums}.get(path, solver._Convolution)
         sweep, n = steps.sweep, p.grid.n_steps
         row = window_schedule(n, n // 4)[1][1]
 
