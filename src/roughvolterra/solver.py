@@ -31,17 +31,20 @@ kernel, depends on the outer time only through the lag, as K modes
 (t - u)^p e^(z (t - u)) (K = 1 for each), so on the uniform grid a solve is
 a causal convolution: one blocked forward substitution whose block sums
 are FFTs (`numpy.fft`), O(n K log^2 n).  A custom coefficient costs O(n^2),
-every row summing its earlier cells.  The direct row loop's per-row
-constant outweighs the log factors: at n = 2^19 a young solve took 4.3 s
-and a rough one 12.5 s, against 5.2 s and 14.8 s for an O(n K) running-sum
-recursion over the modes (min of 3, 2-core Xeon, one BLAS thread).
+every row summing its earlier cells.  The per-row constant outweighs the
+log factors: a row solved directly is one contiguous dot over its block's
+earlier cells and one evaluation of B, with one finiteness check per block
+of at most 64 rows.  At n = 2^19 a young solve takes 3.95 s (7.5 us per
+row) and a rough one 14.1 s (27 us per row): the young and rough benchmark
+configs, the rough one with ``lift_refine`` 1; min of 3, 2-core Xeon, one
+BLAS thread.  An O(n K) running-sum recursion over the modes was slower
+still, by a factor 1.2 against an earlier form of this sweep.
 
 All reported norms are discrete-grid quantities measured over dyadic time
 lags, hence lower bounds on their continuum counterparts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -305,18 +308,26 @@ class _Convolution:
     The sweep is the recursion of Hairer, Lubich and Schlichte (1985) over
     rows 1..n: solve the left half of a block, add its cells to the right
     half with one FFT middle product, solve the right half; blocks of at
-    most `LEAF_ROWS` rows are solved row by row.  A residual sums the cells
-    before its window with one FFT middle product and its own cells,
-    recomputed from y, with one causal FFT.  Each FFT sum adds the modes
-    before its inverse.
+    most `LEAF_ROWS` rows are solved row by row.  y is its own accumulator:
+    the sweep first writes a plus cell 0 into every row, and each middle
+    product adds into the rows it reaches, so a leaf row adds only its own
+    block's earlier cells, one contiguous dot with the lag table ``leaf``
+    (lags reversed, each lag's modes forward), and then evaluates B once
+    for its cell.  A leaf checks its rows for finiteness once, after its
+    loop, and returns the first non-finite one: the map is causal, so the
+    rows before it are exact whatever the rows after it hold.  A residual
+    sums the cells before its window with one FFT middle product and its
+    own cells, recomputed from y, with one causal FFT.  Each FFT sum adds
+    the modes before its inverse.
 
     An FFT rounds relative to its largest term, so the FFTs take the
     bounded weights Kt = t^p e^((z - c) t), c = max(0, max Re z), a block's
     cells scaled by e^(-c (t_l - t_lo)) and its rows by e^(c (t_m - t_lo)):
     a growing mode rounds each row relative to its own terms.  Values near
     the float ceiling overflow to inf silently, as in a row sum.  An FFT
-    spreads a non-finite cell over its block as nan, so a sweep stops at its
-    first non-finite row, whose predecessors read finite cells.
+    spreads a non-finite cell over its block as nan, so a sweep stops at the
+    leaf that holds its first non-finite row, before any FFT reads that
+    leaf's cells; that row's predecessors read finite cells.
     """
 
     def __init__(self, p: VolterraProblem, y: np.ndarray):
@@ -333,14 +344,13 @@ class _Convolution:
         lags, self.c = self.times[:, None], max(0.0, float(np.max(modes.rates.real)))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             power = lags**modes.powers  # inf at lag 0 for the singular kernel: no cell weighs its own row
-            # each lag's modes reversed, so row m's weights on cells [lo, m) are one reversed slice
-            self.leaf = (power * np.exp(lags * modes.rates))[:, ::-1].ravel()
-            self.K = self.leaf.reshape(n + 1, -1)[:, ::-1]
+            self.K = power * np.exp(lags * modes.rates)
             self.Kt = power * np.exp(lags * (modes.rates - self.c)) if self.c > 0 else self.K
+        # the lags reversed, each lag's modes forward: row m's weights on cells [lo, m) are one forward slice
+        self.leaf = self.K[::-1].ravel()
         self.complex = np.iscomplexobj(self.K)
         self.fft = (np.fft.fft, np.fft.ifft) if self.complex else (np.fft.rfft, np.fft.irfft)
         self.g = np.empty((n + 1, self.K.shape[1], p.d_dim, 1), dtype=self.K.dtype)  # (..., 1): a matmul's output
-        self.acc = np.empty_like(y)  # per row: a plus the cells summed so far
         self.spectra: dict[int, np.ndarray] = {}
 
     def cells(self, rows: int | slice, out: np.ndarray | None = None, yp: np.ndarray | None = None) -> np.ndarray:
@@ -359,7 +369,7 @@ class _Convolution:
         with np.errstate(over="ignore", invalid="ignore"):
             self.cells(0, self.g[0], self.yp)
             first = self.K[1:] @ self.g[0, ..., 0]  # every row's cell 0
-            self.acc[1:] = self.a + (first.real if self.complex else first)
+            self.y[1:] = self.a + (first.real if self.complex else first)
             return self._solve(1, len(self.y))
 
     def residual(self, start: int, end: int) -> float:
@@ -374,23 +384,26 @@ class _Convolution:
             return float(np.max(np.abs(out - y[start + 1 : end + 1])))
 
     def _solve(self, lo: int, hi: int) -> int | None:
-        """Write rows [lo, hi), whose ``acc`` holds every cell before ``lo``; the first non-finite row, if any."""
+        """Write rows [lo, hi), which hold a plus every cell before ``lo``; the first non-finite row, if any."""
+        y = self.y
         if hi - lo <= LEAF_ROWS:
-            y, g, leaf, acc, cells, yp = self.y, self.g, self.leaf, self.acc, self.cells, self.yp
+            g, leaf, cells, yp = self.g, self.leaf, self.cells, self.yp
             modes, d = g.shape[1:3]
             flat, real = g.reshape(-1, d), not self.complex  # cell l's modes: rows l K .. l K + K - 1 of flat
+            top = len(leaf) - modes  # lag j's modes start at top - j K
             for m in range(lo, hi):
-                s = leaf[(m - lo + 1) * modes - 1 : modes - 1 : -1] @ flat[lo * modes : m * modes]
-                y[m] = row = acc[m] + (s if real else s.real)
-                if not all(map(math.isfinite, row)):  # half the cost of np.isfinite(row).all() per row
-                    return m
+                s = leaf[top - (m - lo) * modes : top].dot(flat[lo * modes : m * modes])
+                y[m] = y[m] + (s if real else s.real)
                 cells(m, g[m], yp)
-            return None
+            # causal: the rows before the first non-finite one are exact, whatever the rows after it hold
+            finite = np.isfinite(y[lo:hi]).all(axis=1)
+            first = int(np.argmin(finite))
+            return None if finite[first] else lo + first
         mid = (lo + hi) // 2
         bad = self._solve(lo, mid)
         if bad is not None:
             return bad
-        self.acc[mid:hi] += self._convolve(lo, mid, hi)
+        y[mid:hi] += self._convolve(lo, mid, hi)
         return self._solve(mid, hi)
 
     def _convolve(self, lo: int, mid: int, hi: int) -> np.ndarray:

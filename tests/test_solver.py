@@ -24,6 +24,8 @@ from roughvolterra import solver
 from roughvolterra.algebra import Grid, Path, path_holder_norm
 from roughvolterra.coefficients import (
     Coefficient,
+    Modes,
+    _from_modes,
     constant_coefficient,
     linear_coefficient,
     matrix_func,
@@ -414,8 +416,30 @@ def modal_coefficient(family: str) -> Coefficient:
             amp=[[0.5, -0.3], [0.2, 0.4]], t_freq=1.0, u_freq=0.5, y_weights=[0.3, -0.5],
             phase=[[0.1, 0.7], [-0.4, 1.2]], d_dim=2, n_dim=2,
         )
+    if family == "two-modes":
+        return two_mode_coefficient()
     phi, psi = family.split("-")
     return separable_coefficient(MODAL_PHI[phi](), MODAL_PSI[psi]())
+
+
+def two_mode_coefficient() -> Coefficient:
+    """A custom `Modes` with K = 2 (d = 1, n = 2): a real decaying mode e^(-2 v) B_0(y) and a
+    complex one v e^((-1 + 3i) v) B_1(u, y) of lag power 1."""
+    w = 0.4 - 0.2j
+
+    def value(us, ys):
+        y, rot = np.asarray(ys)[..., 0], w * np.exp(1j * np.asarray(us))[..., None]
+        b0 = np.stack([np.sin(y) + 1.5, 0.5 * np.cos(y)], -1)
+        b1 = rot * np.stack([np.cos(y), 1.0 + 0.3 * y], -1)
+        return np.stack([b0 + 0j, b1], -2)[..., None, :]  # (..., K, d, n)
+
+    def jac(us, ys, b):
+        y, rot = np.asarray(ys)[..., 0], w * np.exp(1j * np.asarray(us))[..., None]
+        j0 = np.stack([np.cos(y), -0.5 * np.sin(y)], -1)
+        j1 = rot * np.stack([-np.sin(y), np.full_like(y, 0.3)], -1)
+        return np.stack([j0 + 0j, j1], -2)[..., None, :, None]  # (..., K, d, n, d)
+
+    return _from_modes(1, 2, Modes(np.array([-2.0, -1.0 + 3.0j]), np.array([0, 1]), value, jac), "two-modes")
 
 
 def without_modes(c: Coefficient) -> Coefficient:
@@ -517,6 +541,84 @@ class TestModalSums:
             (0, 1, False, np.inf, np.inf)
         ]
         assert np.isfinite(rep.solution.values).all()
+
+
+def leaf_blocks(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The row blocks [lo, hi) that `_Convolution` solves row by row: halves until at most `LEAF_ROWS` rows."""
+    if hi - lo <= solver.LEAF_ROWS:
+        return [(lo, hi)]
+    mid = (lo + hi) // 2
+    return leaf_blocks(lo, mid) + leaf_blocks(mid, hi)
+
+
+class TestConvolutionLeaves:
+    """The leaf loop of `_Convolution`: its flat mode layout, its finiteness check and its B evaluations."""
+
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_first_non_finite_row_at_a_leaf_edge(self, at):
+        # sigma = y against a driver that jumps by 1e308 at cell r - 1: y_(r-1) dx_(r-1) >= 2e308
+        # overflows, so row r is the first non-finite one.  The third leaf of n = 256 reads its
+        # history through FFT block sums; the leaf checks its rows once, after its loop, and must
+        # report r wherever r falls in it, as the row sums do row by row.
+        n = 256
+        lo, hi = leaf_blocks(1, n + 1)[2]
+        assert (lo, hi) == (129, 193)
+        r = {"first": lo, "middle": (lo + hi) // 2, "last": hi - 1}[at]
+        g = Grid(1.0, n)
+        x = Path(g, (g.times + np.where(np.arange(n + 1) >= r, 1e308, 0.0))[:, None])
+        p = VolterraProblem("young", 2.0, linear_coefficient(1.0), x, gamma=1.0, kappa=0.9)
+        reports = {}
+        for path, sigma in (("modes", p.coefficient), ("rows", without_modes(p.coefficient))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reports[path] = solve(dataclasses.replace(p, coefficient=sigma))
+        for rep in reports.values():
+            assert rep.solved_steps == r - 1
+            last = rep.windows[-1]
+            assert (last.start, last.end, last.converged, last.final_residual) == (r - 1, r, False, np.inf)
+            assert np.isfinite(rep.solution.values).all()
+        assert [(w.start, w.end) for w in reports["modes"].windows] == [(w.start, w.end) for w in reports["rows"].windows]
+        assert_close_relative(reports["modes"].solution.values, reports["rows"].solution.values, 1e-12)
+
+    @pytest.mark.parametrize("regime", ["young", "rough"])
+    def test_custom_modes_with_two_terms_match_row_sums(self, regime):
+        # K = 2: flat holds each cell's two modes side by side, and a row's weights run over
+        # both modes of each lag; a mismatch in either pairs a mode with the other's weights
+        p, rows = modal_case(regime, 512, "two-modes")
+        assert p.coefficient.modes.rates.shape == (2,)
+        rep = solve(p)
+        assert rows.converged and rep.converged
+        assert_close_relative(rep.solution.values, rows.solution.values, 1e-12)
+        if regime == "rough":
+            assert_close_relative(rep.yprime.values, rows.yprime.values, 1e-12)
+
+    @pytest.mark.parametrize("regime", ["young", "singular", "rough"])
+    def test_one_b_evaluation_per_row(self, regime):
+        # the sweep evaluates B once for each row 0..n, the rough y' and D_y B included
+        n, calls = 512, []
+        if regime == "singular":
+            psi = matrix_func("sin_plus", shift=1.0)
+
+            def counted(ys):
+                calls.append(np.shape(ys))
+                return psi.value(ys)
+
+            kernel = KernelSpec(alpha=0.25, psi=dataclasses.replace(psi, value=counted), gamma=1.0)
+            p = VolterraProblem("singular", 0.5, kernel, sine_driver(n))
+        else:
+            p = modal_case(regime, n, "trig" if regime == "rough" else "exp_decay-sin_plus")[0]
+            modes = p.coefficient.modes
+
+            def counted(us, ys):
+                calls.append(np.shape(ys))
+                return modes.value(us, ys)
+
+            sigma = dataclasses.replace(p.coefficient, modes=dataclasses.replace(modes, value=counted), validate=False)
+            p = dataclasses.replace(p, coefficient=sigma)
+        steps = solver._Convolution(p, np.tile(p.a, (n + 1, 1)))
+        assert calls == []
+        assert steps.sweep() is None
+        assert calls == [(p.d_dim,)] * (n + 1)
 
 
 # ---------------------------------------------------------------------------
