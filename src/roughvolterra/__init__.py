@@ -18,7 +18,7 @@ from .algebra import (
     sup_norm,
 )
 from .checks import CheckResult, checks_report, run_checks
-from .cli import ExperimentConfig, RateReport, build_problem, load_config, main
+from .cli import ExperimentConfig, build_problem, load_config, main
 from .coefficients import (
     Coefficient,
     MatrixFunc,
@@ -65,9 +65,6 @@ from .solver import (
     VolterraProblem,
     WindowRecord,
     solve,
-    solve_rough,
-    solve_singular,
-    solve_young,
     validate_problem,
 )
 from .young import (

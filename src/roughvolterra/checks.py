@@ -30,7 +30,7 @@ from .coefficients import linear_coefficient, matrix_func, scalar_func, separabl
 from .rough import ControlledPath, levy_lift_piecewise_linear, rough_integral
 from .signals import FbmSpec, estimate_holder, fbm_covariance, generate_fbm
 from .singular import KernelSpec, kernel_increment
-from .solver import VolterraProblem, solve_singular, solve_young
+from .solver import VolterraProblem, solve
 from .young import YoungIntegrand, young_germ, young_integral
 
 __all__ = ["CheckResult", "SUITES", "FAULT_MODES", "run_suite", "run_checks", "checks_report"]
@@ -194,7 +194,7 @@ def _check_singular(fault: str | None) -> list[CheckResult]:
     spec = KernelSpec(alpha=0.25, psi=matrix_func("ones"), gamma=1.0)
     errs = {}
     for n in (512, 1024):
-        rep = solve_singular(VolterraProblem("singular", 0.0, spec, _linear_driver(n)))
+        rep = solve(VolterraProblem("singular", 0.0, spec, _linear_driver(n)))
         errs[n] = abs(rep.solution.values[-1, 0] - 4.0 / 3.0)
     out.append(_result("singular", "explicit-kernel-endpoint", errs[512], 1e-2, detail="target 4/3"))
     out.append(
@@ -340,7 +340,7 @@ def _check_solver(fault: str | None) -> list[CheckResult]:
         gamma=0.75,
         kappa=0.9,
     )
-    rep = solve_young(p)
+    rep = solve(p)
     out.append(
         _result("solver", "zero-driver-fixed-point", float(np.max(np.abs(rep.solution.values - 2.0))), 0.0)
     )
@@ -348,13 +348,13 @@ def _check_solver(fault: str | None) -> list[CheckResult]:
     # quadratic ramp: the discrete endpoint error is 1/N identically
     n = 256
     ramp = separable_coefficient(scalar_func("linear"), matrix_func("ones"))
-    rep = solve_young(VolterraProblem("young", 0.0, ramp, _linear_driver(n), gamma=1.0, kappa=0.9))
+    rep = solve(VolterraProblem("young", 0.0, ramp, _linear_driver(n), gamma=1.0, kappa=0.9))
     rel = abs(rep.solution.values[-1, 0] - 0.5) / 0.5
     out.append(_result("solver", "ramp-error-identity", abs(rel * n - 1.0), 1e-9, detail="rel err = 1/N"))
 
     # windows tile the horizon and each a-posteriori window residual is below tolerance
     p = VolterraProblem("young", 1.0, linear_coefficient(1.0), x, gamma=0.75, kappa=0.9)
-    rep = solve_young(p)
+    rep = solve(p)
     tiled = rep.windows[0].start == 0 and rep.windows[-1].end == rep.solved_steps
     tiled = tiled and all(b.start == a.end for a, b in zip(rep.windows, rep.windows[1:]))
     tiled = tiled and all(w.final_residual < rep.tolerance for w in rep.windows)
@@ -364,8 +364,8 @@ def _check_solver(fault: str | None) -> list[CheckResult]:
     # writes the solution and the tiling shapes only the report, so this
     # reads 0.0; it guards against the windows reaching the solution again
     p = VolterraProblem("young", 1.0, sin_field, x, gamma=0.75, kappa=0.9)
-    base = solve_young(p)
-    again = solve_young(p, initial_window=1)
+    base = solve(p)
+    again = solve(p, initial_window=1)
     dev = float(np.max(np.abs(base.solution.values - again.solution.values)))
     out.append(_result("solver", "fixed-point-unique", dev, 10 * base.tolerance, detail="window tilings"))
     return out

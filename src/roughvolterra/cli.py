@@ -68,7 +68,6 @@ from .solver import SolverReport, VolterraProblem, solve
 
 __all__ = [
     "ExperimentConfig",
-    "RateReport",
     "load_config",
     "build_problem",
     "cmd_gen",
@@ -89,7 +88,16 @@ EXIT_IO = 4
 
 CONFIG_VERSION = 1
 
-RATE_ORACLES = ("exp_of_sine", "exponential", "power_kernel", "quadratic_ramp")
+# The rate study's oracles: a closed-form solution at time t, read against each level's final value.
+_ORACLE_VALUES = {
+    "exp_of_sine": lambda cfg, t: float(np.exp(np.sin(t))),
+    "exponential": lambda cfg, t: float(np.exp(t)),
+    "quadratic_ramp": lambda cfg, t: float(np.asarray(cfg.raw["a"], dtype=float).reshape(-1)[0] + 0.5 * t * t),
+    "power_kernel": lambda cfg, t: float(
+        np.asarray(cfg.raw["a"], dtype=float).reshape(-1)[0]
+        + np.float64(t) ** (1.0 - cfg.raw["kernel"]["alpha"]) / (1.0 - cfg.raw["kernel"]["alpha"])
+    ),
+}
 
 MAX_FINE_STEPS = 2**20  # larger driver samples are refused before any array exists
 
@@ -161,8 +169,8 @@ class ExperimentConfig:
                 f"unknown builtin driver '{driver['name']}' (expected one of {', '.join(BUILTIN_PATHS)})"
             )
         refine = driver.get("lift_refine", 1)
-        if refine < 1:
-            raise ValueError(f"driver lift_refine must be a positive integer, got {refine}")
+        if refine < 1 or refine & (refine - 1):
+            raise ValueError(f"config entry 'driver.lift_refine' must be a power of two, got {refine}")
         if data["grid"]["n_steps"] * refine * driver.get("dim", 1) > MAX_FINE_STEPS:
             raise ValueError(f"config entry 'grid.n_steps' x 'driver.lift_refine' x 'driver.dim' is over {MAX_FINE_STEPS}")
 
@@ -197,10 +205,12 @@ class ExperimentConfig:
         rate = data.get("rate", {})
         if rate.get("mode", "self") not in ("oracle", "self"):
             raise ValueError(f"rate mode must be 'oracle' or 'self', got {rate.get('mode')!r}")
-        if rate.get("mode") == "oracle" and rate.get("oracle") not in RATE_ORACLES:
+        if rate.get("mode") == "oracle" and rate.get("oracle") not in _ORACLE_VALUES:
             raise ValueError(
-                f"rate oracle must be one of {', '.join(RATE_ORACLES)}, got {rate.get('oracle')!r}"
+                f"rate oracle must be one of {', '.join(sorted(_ORACLE_VALUES))}, got {rate.get('oracle')!r}"
             )
+        if rate.get("mode") == "oracle" and rate["oracle"] == "power_kernel" and "kernel" not in data:
+            raise ValueError("rate oracle 'power_kernel' reads 'kernel.alpha', and the config has no 'kernel' entry")
         return ExperimentConfig(copy.deepcopy(data))
 
     def to_dict(self) -> dict:
@@ -525,56 +535,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Refinement study: resolutions, errors, fitted log-log slope.
-
-    An error of exactly 0 has no logarithm: then ``slope`` and
-    ``lsq_residual`` are None and ``zero_error_resolutions`` names its levels.
-    """
-
-    mode: str
-    resolutions: tuple[int, ...]
-    error_resolutions: tuple[int, ...]
-    errors: tuple[float, ...]
-    slope: float | None
-    lsq_residual: float | None
-    benchmark: float | None
-    converged: tuple[bool, ...]
-    zero_error_resolutions: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.resolutions) < 3:
-            raise ValueError(f"rate study needs at least 3 resolutions, got {len(self.resolutions)}")
-        if self.slope is not None and not np.isfinite(self.slope):
-            raise ValueError(f"fitted slope is not finite: {self.slope}")
-
-    def to_dict(self) -> dict:
-        skipped = {"zero_error_resolutions": list(self.zero_error_resolutions)} if self.zero_error_resolutions else {}
-        return {
-            "mode": self.mode,
-            "resolutions": list(self.resolutions),
-            "error_resolutions": list(self.error_resolutions),
-            "errors": list(self.errors),
-            "slope": self.slope,
-            "lsq_residual": self.lsq_residual,
-            **skipped,
-            "benchmark": self.benchmark,
-            "converged": list(self.converged),
-        }
-
-
-_ORACLE_VALUES = {
-    "exp_of_sine": lambda cfg, t: float(np.exp(np.sin(t))),
-    "exponential": lambda cfg, t: float(np.exp(t)),
-    "quadratic_ramp": lambda cfg, t: float(np.asarray(cfg.raw["a"], dtype=float).reshape(-1)[0] + 0.5 * t * t),
-    "power_kernel": lambda cfg, t: float(
-        np.asarray(cfg.raw["a"], dtype=float).reshape(-1)[0]
-        + t ** (1.0 - cfg.raw["kernel"]["alpha"]) / (1.0 - cfg.raw["kernel"]["alpha"])
-    ),
-}
-
-
 def _solve_rate_ladder(cfg: ExperimentConfig, resolutions: list[int]):
     """Solve at every resolution, sharing one fbm master sample.
 
@@ -617,6 +577,12 @@ def cmd_rate(args) -> int:
     rate_cfg = cfg.raw.get("rate", {})
     mode = rate_cfg.get("mode", "self")
     resolutions = [cfg.grid.n_steps << k for k in range(refinements)]
+    horizon = cfg.grid.horizon
+    if mode == "oracle":
+        with np.errstate(all="ignore"):
+            target = _ORACLE_VALUES[rate_cfg["oracle"]](cfg, horizon)
+        if not np.isfinite(target):
+            raise ValueError(f"config entry 'rate.oracle' {rate_cfg['oracle']!r} is not finite at the horizon {horizon}")
 
     started = time.perf_counter()
     reports, rng, levels = _solve_rate_ladder(cfg, resolutions)
@@ -643,10 +609,7 @@ def cmd_rate(args) -> int:
         print("rate study aborted: a solve did not converge; partial table written", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 
-    horizon = cfg.grid.horizon
     if mode == "oracle":
-        oracle = _ORACLE_VALUES[rate_cfg["oracle"]]
-        target = oracle(cfg, horizon)
         errors = [float(abs(r.solution.values[-1, 0] - target)) for r in reports]
         error_resolutions = solved
         benchmark = rate_cfg.get("benchmark")
@@ -666,24 +629,29 @@ def cmd_rate(args) -> int:
         error_resolutions = solved[:-1]
         benchmark = rate_cfg.get("benchmark")
 
-    zero_at = tuple(n for n, e in zip(error_resolutions, errors) if e == 0.0)
+    # an error of exactly 0 has no logarithm: then there is no fit, and the report names its levels
+    zero_at = [n for n, e in zip(error_resolutions, errors) if e == 0.0]
     slope = lsq = None
     if not zero_at:
         fit, residuals, *_ = np.polyfit(np.log2(error_resolutions), np.log2(errors), 1, full=True)
         slope = float(-fit[0])
+        if not np.isfinite(slope):
+            raise ValueError(f"fitted slope is not finite: {slope}")
         lsq = float(np.sqrt(residuals[0] / len(errors))) if len(residuals) else 0.0
-    rate = RateReport(
-        mode=mode,
-        resolutions=tuple(solved),
-        error_resolutions=tuple(error_resolutions),
-        errors=tuple(errors),
-        slope=slope,
-        lsq_residual=lsq,
-        benchmark=benchmark,
-        converged=tuple(r.converged for r in reports),
-        zero_error_resolutions=zero_at,
-    )
-    payload = {"config": cfg.to_dict(), **rate.to_dict(), "timing": timing, "rng": rng}
+    payload = {
+        "config": cfg.to_dict(),
+        "mode": mode,
+        "resolutions": solved,
+        "error_resolutions": error_resolutions,
+        "errors": errors,
+        "slope": slope,
+        "lsq_residual": lsq,
+        **({"zero_error_resolutions": zero_at} if zero_at else {}),
+        "benchmark": benchmark,
+        "converged": [r.converged for r in reports],
+        "timing": timing,
+        "rng": rng,
+    }
     _write_json(f"{prefix}_rate.json", payload)
     print(f"{prefix}_rate.json")
     return EXIT_OK

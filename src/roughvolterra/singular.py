@@ -46,8 +46,7 @@ class KernelSpec:
 
     ``kappa`` defaults to the midpoint of its admissible interval (which
     is 1/2 regardless of the other exponents).  ``contraction_exponent``
-    is the fixed intermediate exponent used by the level-decay
-    diagnostics.
+    is (kappa + gamma - alpha) / 2, the midpoint of kappa and gamma - alpha.
     """
 
     alpha: float

@@ -16,10 +16,12 @@ is one sweep over the n rows, writing every row before the next reads it:
 forward substitution onto the discrete fixed point, with no iteration
 budget.  The solved rows are then reported window by window, the first
 window ``initial_window`` cells long and each next one half as long again
-(capped at half the horizon); a window records its a-posteriori residual
-max |a + I(y)_m - y_m| / max(1, max |y|) over its rows, its history summed
-by another route than the sweep's.  The windows shape only the report,
-never the solution.  A sweep that turns non-finite at row r keeps the rows
+(capped at half the horizon).  The solve computes the image a + I(y) of
+the solved rows once, from cells recomputed from y in one batch, by
+another route than the sweep's; a window records its a-posteriori
+residual max |a + I(y)_m - y_m| / max(1, max |y|) over its rows, read off
+that image.  The windows shape only the report, never the solution, nor
+any row's residual.  A sweep that turns non-finite at row r keeps the rows
 before r, and the report ends with a failed one-cell window [r - 1, r].
 The report then carries the partial solution up to the last accepted
 time, which for the rough regime is a legitimate outcome rather than an
@@ -62,9 +64,6 @@ __all__ = [
     "SolverReport",
     "validate_problem",
     "solve",
-    "solve_young",
-    "solve_singular",
-    "solve_rough",
     "DEFAULT_TOL_SMOOTH",
     "DEFAULT_TOL_FBM",
 ]
@@ -236,8 +235,8 @@ def _segment_holder(times: np.ndarray, values: np.ndarray, i0: int, i1: int, mu:
 # its first non-finite row.  `_Convolution` solves every sigma with modes (the
 # built-in families and the singular kernel), whose germ depends on the outer
 # time only through the lag; `_RowSums` sums each row's cells at t_m for a
-# custom sigma.  A window's residual sums the cells l <= start (its history)
-# in one piece and recomputes its own cells (start, m) from y in one batch.
+# custom sigma.  Each also computes the image a + I(y) of rows 1..end once,
+# all its cells recomputed from y in one batch, for the report's residuals.
 # ---------------------------------------------------------------------------
 
 # The most rows a sweep solves by the direct row loop; larger blocks split in two.
@@ -251,6 +250,8 @@ class _RowSums:
     carry no modes.  The rough germ also
     reads y' = sigma(t, t, y), refreshed right after y, through the
     per-cell product w_l = y'_l . adj_l; the young regime carries neither.
+    The image sums the same rows with y' and w recomputed from y in one
+    batch.
     """
 
     def __init__(self, p: VolterraProblem, y: np.ndarray):
@@ -285,14 +286,13 @@ class _RowSums:
                 self.refresh(m, m + 1)
         return None
 
-    def residual(self, start: int, end: int) -> float:
+    def image(self, end: int) -> np.ndarray:
+        """a + I(y) at rows 1..end, end >= 1, shape (end, d)."""
         p, y, w = self.p, self.y, self.w
         with np.errstate(over="ignore", invalid="ignore"):
-            if w is not None:  # the window's y' and w afresh from y, in one batch
-                yp = p.coefficient.diagonal_many(p.grid.times[start + 1 : end], y[start + 1 : end])
-                w = np.concatenate([w[: start + 1], np.matmul(yp, p.lift.adjacent[start + 1 : end])])
-            rows = [p.a + self.rows(m, 0, start + 1) + self.rows(m, start + 1, m, w) for m in range(start + 1, end + 1)]
-            return float(np.max(np.abs(np.array(rows) - y[start + 1 : end + 1])))
+            if w is not None:  # y' and w afresh from y, in one batch
+                w = np.matmul(p.coefficient.diagonal_many(p.grid.times[:end], y[:end]), p.lift.adjacent[:end])
+            return p.a + np.array([self.rows(m, 0, m, w) for m in range(1, end + 1)])
 
 
 class _Convolution:
@@ -315,10 +315,9 @@ class _Convolution:
     (lags reversed, each lag's modes forward), and then evaluates B once
     for its cell.  A leaf checks its rows for finiteness once, after its
     loop, and returns the first non-finite one: the map is causal, so the
-    rows before it are exact whatever the rows after it hold.  A residual
-    sums the cells before its window with one FFT middle product and its
-    own cells, recomputed from y, with one causal FFT.  Each FFT sum adds
-    the modes before its inverse.
+    rows before it are exact whatever the rows after it hold.  The image
+    recomputes the cells from y in one batch.  Each FFT sum adds the modes
+    before its inverse.
 
     An FFT rounds relative to its largest term, so the FFTs take the
     bounded weights Kt = t^p e^((z - c) t), c = max(0, max Re z), a block's
@@ -372,16 +371,15 @@ class _Convolution:
             self.y[1:] = self.a + (first.real if self.complex else first)
             return self._solve(1, len(self.y))
 
-    def residual(self, start: int, end: int) -> float:
-        y, rows = self.y, end - start
+    def image(self, end: int) -> np.ndarray:
+        """a + I(y) at rows 1..end, end >= 1, shape (end, d): one causal FFT over cells 0..end - 1."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.a + self._convolve(0, start + 1, end + 1)
-            if rows > 1:  # a one-row window has no cells of its own
-                size = 1 << (2 * rows - 4).bit_length()  # no wrap into the rows - 1 outputs
-                weights = self.fft[0](self.Kt[1:rows], size, axis=0)[:, :, None]
-                cells = self._hat(self.cells(slice(start + 1, end))[..., 0], size)
-                out[1:] += self._spread(np.multiply(weights, cells, out=cells), size, 0, rows - 1)
-            return float(np.max(np.abs(out - y[start + 1 : end + 1])))
+            # the sweep is done with its spectra and its cells: free the one, overwrite the other
+            self.spectra.clear()
+            size = 1 << (2 * end - 2).bit_length()  # no wrap into the end outputs
+            cells = self._hat(self.cells(slice(0, end), self.g[:end])[..., 0], size)
+            cells *= self.fft[0](self.Kt[1 : end + 1], size, axis=0)[:, :, None]
+            return self.a + self._spread(cells, size, 0, end)
 
     def _solve(self, lo: int, hi: int) -> int | None:
         """Write rows [lo, hi), which hold a plus every cell before ``lo``; the first non-finite row, if any."""
@@ -467,13 +465,15 @@ def solve(
     steps = (_RowSums if p.coefficient.modes is None else _Convolution)(p, y)
     bad = steps.sweep()
     solved_steps = n if bad is None else bad - 1  # the map is causal: the rows before `bad` are exact
+    if solved_steps:  # every row's a-posteriori residual |(Gamma y)_m - y_m|, from one image
+        gaps = np.abs(steps.image(solved_steps) - y[1 : solved_steps + 1]).max(axis=1)
 
     windows: list[WindowRecord] = []
     start = 0
     while start < solved_steps:
         end = min(start + window, solved_steps)
         scale = max(1.0, float(np.max(np.abs(y[start : end + 1]))))
-        fit = steps.residual(start, end) / scale, _segment_holder(times, y, start, end, norm_exponent)
+        fit = float(np.max(gaps[start:end])) / scale, _segment_holder(times, y, start, end, norm_exponent)
         windows.append(WindowRecord(start, end, float(times[start]), float(times[end]), True, *fit))
         start = end
         window = min(int(window * 1.5), cap)
@@ -507,29 +507,3 @@ def solve(
         proven_horizon=proven,
         extension_heuristic=heuristic,
     )
-
-
-def _of_regime(p: VolterraProblem, regime: str) -> VolterraProblem:
-    if p.regime != regime:
-        raise ValueError(f"solve_{regime} got a problem of regime '{p.regime}'")
-    return p
-
-
-def solve_young(p: VolterraProblem, **opts) -> SolverReport:
-    """`solve` for the first-order regime: drivers above Hölder exponent 1/2."""
-    return solve(_of_regime(p, "young"), **opts)
-
-
-def solve_singular(p: VolterraProblem, **opts) -> SolverReport:
-    """`solve` for the weakly singular kernel (t - u)^(-alpha) psi(y) against the driver."""
-    return solve(_of_regime(p, "singular"), **opts)
-
-
-def solve_rough(p: VolterraProblem, **opts) -> SolverReport:
-    """`solve` for the second-order regime via the driver's Lévy-area lift; local contract.
-
-    Continuation past the first window is heuristic (flagged in the
-    report); stopping early with a partial horizon is a legitimate
-    outcome for this regime.
-    """
-    return solve(_of_regime(p, "rough"), **opts)

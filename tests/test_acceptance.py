@@ -39,12 +39,7 @@ from roughvolterra.rough import (
 )
 from roughvolterra.signals import FbmSpec, estimate_holder, fbm_covariance, generate_fbm
 from roughvolterra.singular import KernelSpec
-from roughvolterra.solver import (
-    VolterraProblem,
-    solve_rough,
-    solve_singular,
-    solve_young,
-)
+from roughvolterra.solver import VolterraProblem, solve
 from roughvolterra.young import YoungIntegrand, young_integral
 
 
@@ -232,7 +227,7 @@ def test_criterion_05_second_order_vs_fine_riemann():
 def test_criterion_06_first_order_volterra_exp_oracle():
     started = time.monotonic()
     p = VolterraProblem("young", 1.0, linear_coefficient(1.0), sine_driver(4096), gamma=0.75, kappa=0.9)
-    rep = solve_young(p)
+    rep = solve(p)
     target = float(np.exp(np.sin(1.0)))
     rel = abs(float(rep.solution.values[-1, 0]) - target) / target
     ok = rep.converged and rel <= 1e-3 and len(rep.windows) >= 2
@@ -244,7 +239,7 @@ def test_criterion_07_singular_kernel_power_oracle():
     spec = KernelSpec(alpha=0.25, psi=matrix_func("ones"), gamma=1.0)
     errs = []
     for n in (1024, 2048, 4096):
-        rep = solve_singular(VolterraProblem("singular", 0.0, spec, linear_driver(n)))
+        rep = solve(VolterraProblem("singular", 0.0, spec, linear_driver(n)))
         errs.append(abs(float(rep.solution.values[-1, 0]) - 4.0 / 3.0))
     rate = -np.polyfit(np.log2([1024, 2048, 4096]), np.log2(errs), 1)[0]
     ok = errs[-1] <= 1.4e-2 and rate > 0
@@ -254,8 +249,8 @@ def test_criterion_07_singular_kernel_power_oracle():
 def test_criterion_08_abel_self_consistency():
     started = time.monotonic()
     spec = KernelSpec(alpha=0.25, psi=matrix_func("identity", d_dim=1), gamma=1.0)
-    coarse = solve_singular(VolterraProblem("singular", 1.0, spec, linear_driver(4096)))
-    fine = solve_singular(VolterraProblem("singular", 1.0, spec, linear_driver(16384)))
+    coarse = solve(VolterraProblem("singular", 1.0, spec, linear_driver(4096)))
+    fine = solve(VolterraProblem("singular", 1.0, spec, linear_driver(16384)))
     c = coarse.solution.values[:, 0]
     f = fine.solution.values[::4, 0]
     rel = float(np.abs(c - f).max() / np.abs(f).max())
@@ -267,7 +262,7 @@ def test_criterion_09_second_order_exp_oracle():
     x = linear_driver(2048)
     xx = levy_lift_piecewise_linear(x)
     p = VolterraProblem("rough", 1.0, linear_coefficient(1.0), x, gamma=0.5, kappa=0.5, lift=xx)
-    rep = solve_rough(p)
+    rep = solve(p)
     rel = abs(float(rep.solution.values[-1, 0]) - np.e) / np.e
     ok = rep.converged and rel <= 1e-3
     verdict(9, "second-order exp oracle", ok, f"rel err {rel:.2e} <= 1e-3", started, 120.0)
@@ -278,15 +273,15 @@ def test_criterion_10_fixed_point_uniqueness():
     n = 512
     sine = sine_driver(n)
     problems = {
-        "young": (solve_young, VolterraProblem("young", 1.0, sin_plus_field(), sine, gamma=0.75, kappa=0.9)),
+        "young": (solve, VolterraProblem("young", 1.0, sin_plus_field(), sine, gamma=0.75, kappa=0.9)),
         "singular": (
-            solve_singular,
+            solve,
             VolterraProblem(
                 "singular", 1.0, KernelSpec(alpha=0.25, psi=matrix_func("identity", d_dim=1), gamma=1.0), linear_driver(n)
             ),
         ),
         "rough": (
-            solve_rough,
+            solve,
             VolterraProblem(
                 "rough", 1.0, sin_plus_field(), sine, gamma=0.5, kappa=0.5,
                 lift=levy_lift_piecewise_linear(sine),
@@ -349,7 +344,7 @@ def test_criterion_12_fbm_driven_solves():
     for n in (256, 512, 1024, 2048):
         x = master.restrict(2048 // n)
         p = VolterraProblem("young", 1.0, field, x, gamma=0.75, kappa=0.9, driver_meta=meta)
-        rep = solve_young(p)
+        rep = solve(p)
         assert rep.converged
         sols[n] = rep.solution.values[:, 0]
     ns = np.array([256, 512, 1024])
@@ -363,7 +358,7 @@ def test_criterion_12_fbm_driven_solves():
     for n in (128, 256, 512, 1024, 2048):
         x, xx = lift_from_subgrid(master2, 2048 // n)
         p = VolterraProblem("rough", 0.5, field, x, gamma=0.4, kappa=0.6, lift=xx, driver_meta=meta2)
-        rep = solve_rough(p)
+        rep = solve(p)
         assert rep.converged
         sols2[n] = rep.solution.values[:, 0]
     ns2 = np.array([128, 256, 512, 1024])

@@ -223,8 +223,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="rate mode must be 'oracle' or 'self'"):
             ExperimentConfig.from_dict(data)
         data["rate"] = {"mode": "oracle", "oracle": "riemann-zeta"}
-        with pytest.raises(ValueError, match="rate oracle must be one of"):
+        names = "exp_of_sine, exponential, power_kernel, quadratic_ramp"
+        with pytest.raises(ValueError, match=f"rate oracle must be one of {names}, got 'riemann-zeta'"):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [(exp_sine_config, "'kernel.alpha'"), (lambda: singular_config(n_steps=64) | {"kernel": {"alpha": 1, "psi": "ones"}}, "'rate.oracle'")],
+        ids=["young-without-kernel", "singular-alpha-one"],
+    )
+    def test_power_kernel_oracle_exits_invalid(self, tmp_path, capsys, config, named):
+        # the oracle a + t^(1 - alpha) / (1 - alpha) reads the kernel before any level is built
+        data = config()
+        data["rate"] = {"mode": "oracle", "oracle": "power_kernel"}
+        code = main(["rate", "--config", write_config(tmp_path, data), "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("refine", [0, 3, 6])
+    @pytest.mark.parametrize("command", ["solve", "rate"])
+    def test_lift_refine_must_be_a_power_of_two(self, tmp_path, capsys, command, refine):
+        data = fbm_rough_config(n_steps=64)
+        data["driver"]["lift_refine"] = refine
+        code = main([command, "--config", write_config(tmp_path, data), "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"config entry 'driver.lift_refine' must be a power of two, got {refine}" in err
+        assert not list(tmp_path.glob("fbmr_*"))
 
     def test_seed_override_needs_random_driver(self, tmp_path, capsys):
         cfg = write_config(tmp_path, exp_sine_config())
@@ -633,6 +658,25 @@ class TestRate:
         assert rate["errors"] == [0.0, 0.0]
         assert rate["slope"] is None and rate["lsq_residual"] is None
         assert rate["zero_error_resolutions"] == [16, 32]
+
+    def test_non_finite_oracle_is_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        # e^1000 overflows: the oracle is evaluated once, before any level is solved
+        data = exp_sine_config(n_steps=64)
+        data["driver"] = {"kind": "builtin", "name": "linear"}
+        data["grid"]["horizon"] = 1000.0
+        data["coefficient"] = {"family": "constant", "params": {"value": 0.0}}
+        data["rate"] = {"mode": "oracle", "oracle": "exponential"}
+        cfg = write_config(tmp_path, data)
+        solves = []
+        monkeypatch.setattr("roughvolterra.cli.solve", lambda *args, **kwargs: solves.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: config entry 'rate.oracle' 'exponential' is not finite at the horizon 1000.0\n"
+        assert solves == []
+        assert not (tmp_path / "expsine_rate.json").exists()
 
     def test_failing_solve_aborts_with_partial_table(self, tmp_path, capsys):
         data = exp_sine_config(n_steps=64)

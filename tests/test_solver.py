@@ -47,9 +47,6 @@ from roughvolterra.solver import (
     SolverReport,
     VolterraProblem,
     solve,
-    solve_rough,
-    solve_singular,
-    solve_young,
     validate_problem,
 )
 from roughvolterra.young import volterra_increment_young
@@ -201,13 +198,13 @@ class TestProblemValidation:
 def exp_sine_report() -> SolverReport:
     """y' = y cos t, y(0) = 1, written as int y dx with x = sin t."""
     p = VolterraProblem("young", 1.0, linear_coefficient(1.0), sine_driver(4096), gamma=0.75, kappa=0.9)
-    return solve_young(p)
+    return solve(p)
 
 
 class TestYoungSolver:
     def test_zero_field_returns_initial_value(self):
         p = VolterraProblem("young", -2.5, constant_coefficient(0.0), sine_driver(64), gamma=0.75, kappa=0.9)
-        rep = solve_young(p)
+        rep = solve(p)
         assert rep.converged
         assert np.array_equal(rep.solution.values, np.full((65, 1), -2.5))
         assert all(w.iterations == 1 for w in rep.windows)
@@ -218,7 +215,7 @@ class TestYoungSolver:
         # solution matches a + c t without rounding.
         x = linear_driver(256)
         p = VolterraProblem("young", -0.75, constant_coefficient(1.5), x, gamma=1.0, kappa=0.9)
-        rep = solve_young(p)
+        rep = solve(p)
         expected = -0.75 + 1.5 * x.grid.times
         assert np.array_equal(rep.solution.values[:, 0], expected)
 
@@ -240,14 +237,14 @@ class TestYoungSolver:
         # relative endpoint error is 1/N identically.
         n = 2048
         p = VolterraProblem("young", 0.0, ramp_field(), linear_driver(n), gamma=1.0, kappa=0.9)
-        rep = solve_young(p)
+        rep = solve(p)
         rel = abs(rep.solution.values[-1, 0] - 0.5) / 0.5
         assert rel == pytest.approx(1.0 / n, rel=1e-9)
 
     def test_quadratic_ramp_meets_absolute_target_when_refined(self):
         n = 16384
         p = VolterraProblem("young", 0.0, ramp_field(), linear_driver(n), gamma=1.0, kappa=0.9)
-        rep = solve_young(p)
+        rep = solve(p)
         rel = abs(rep.solution.values[-1, 0] - 0.5) / 0.5
         assert rel <= 1e-4  # exactly 1/16384 ~ 6.1e-5
 
@@ -256,7 +253,7 @@ class TestYoungSolver:
         # high-order adaptive integrator on the equivalent ODE.
         x = sine_driver(2048)
         p = VolterraProblem("young", 0.5, sin_plus_field(), x, gamma=0.75, kappa=0.9)
-        rep = solve_young(p)
+        rep = solve(p)
         truth = ode_solution(lambda t, y: (np.sin(y) + 2.0) * np.cos(t), 0.5, x.grid.times)
         rel_sup = np.abs(rep.solution.values[:, 0] - truth).max() / np.abs(truth).max()
         assert rep.converged
@@ -273,7 +270,7 @@ class TestSingularSolver:
         g = Grid(1.0, 64)
         flat = Path(g, np.zeros((65, 1)))
         p = VolterraProblem("singular", 3.0, abel_kernel(), flat)
-        rep = solve_singular(p)
+        rep = solve(p)
         assert rep.converged
         assert np.array_equal(rep.solution.values, np.full((65, 1), 3.0))
         assert all(w.iterations == 1 for w in rep.windows)
@@ -285,7 +282,7 @@ class TestSingularSolver:
         spec = KernelSpec(alpha=0.25, psi=matrix_func("ones"), gamma=1.0)
         errs = []
         for n in (1024, 2048, 4096):
-            rep = solve_singular(VolterraProblem("singular", 0.0, spec, linear_driver(n)))
+            rep = solve(VolterraProblem("singular", 0.0, spec, linear_driver(n)))
             assert rep.converged
             errs.append(abs(rep.solution.values[-1, 0] - 4.0 / 3.0))
         assert errs[-1] / (4.0 / 3.0) <= 1e-2  # measured 1.1e-3 at 4096
@@ -296,8 +293,8 @@ class TestSingularSolver:
     def test_abel_equation_stable_under_refinement(self):
         # No closed form with psi(y) = y; the oracle is the same scheme on
         # a 4x finer grid restricted back to the coarse one.
-        coarse = solve_singular(VolterraProblem("singular", 1.0, abel_kernel(), linear_driver(2048)))
-        fine = solve_singular(VolterraProblem("singular", 1.0, abel_kernel(), linear_driver(8192)))
+        coarse = solve(VolterraProblem("singular", 1.0, abel_kernel(), linear_driver(2048)))
+        fine = solve(VolterraProblem("singular", 1.0, abel_kernel(), linear_driver(8192)))
         c = coarse.solution.values[:, 0]
         f = fine.solution.values[::4, 0]
         assert coarse.converged and fine.converged
@@ -368,7 +365,7 @@ class TestSingularConvolution:
         p = VolterraProblem("singular", 1.0, abel_kernel(), Path(g, 1e305 * g.times[:, None]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = solve_singular(p)
+            rep = solve(p)
         assert rep.solved_steps == 1
         assert [(w.start, w.end, w.converged, w.final_residual) for w in rep.windows] == [
             (0, 1, True, 0.0), (1, 2, False, np.inf)
@@ -388,7 +385,7 @@ class TestSingularConvolution:
         k = KernelSpec(alpha=0.25, psi=matrix_func("identity", d_dim=2), gamma=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = solve_singular(VolterraProblem("singular", [1.0, 1.0], k, x))
+            rep = solve(VolterraProblem("singular", [1.0, 1.0], k, x))
         assert [(w.start, w.end) for w in rep.windows] == [(0, 256), (256, 286), (286, 287)]
         assert (rep.windows[-1].final_residual, rep.windows[-1].holder_norm) == (np.inf, np.inf)
         assert rep.solution.values[286, 0] == pytest.approx(3.55022084e307, rel=1e-8)
@@ -631,7 +628,7 @@ class TestRoughSolver:
         x = sine_driver(64)
         xx = levy_lift_piecewise_linear(x)
         p = VolterraProblem("rough", 0.5, constant_coefficient(0.0), x, gamma=0.5, kappa=0.5, lift=xx)
-        rep = solve_rough(p)
+        rep = solve(p)
         assert rep.converged
         assert np.array_equal(rep.solution.values, np.full((65, 1), 0.5))
         # the controlled derivative is a (d, n) matrix at each time
@@ -645,7 +642,7 @@ class TestRoughSolver:
         x = linear_driver(n)
         xx = levy_lift_piecewise_linear(x)
         p = VolterraProblem("rough", 1.0, linear_coefficient(1.0), x, gamma=0.5, kappa=0.5, lift=xx)
-        rep = solve_rough(p)
+        rep = solve(p)
         rel = abs(rep.solution.values[-1, 0] - np.e) / np.e
         assert rep.converged
         assert rel <= 1e-3  # measured 4.0e-8
@@ -661,7 +658,7 @@ class TestRoughSolver:
         x = linear_driver(n)
         xx = levy_lift_piecewise_linear(x)
         p = VolterraProblem("rough", 1.0, linear_coefficient(1.0), x, gamma=0.5, kappa=0.5, lift=xx)
-        rep = solve_rough(p, initial_window=n)
+        rep = solve(p, initial_window=n)
         assert rep.converged
         assert len(rep.windows) == 1
         assert not rep.extension_heuristic
@@ -671,7 +668,7 @@ class TestRoughSolver:
         x = sine_driver(1024)
         xx = levy_lift_piecewise_linear(x)
         p = VolterraProblem("rough", 0.5, sin_plus_field(), x, gamma=0.5, kappa=0.5, lift=xx)
-        rep = solve_rough(p)
+        rep = solve(p)
         truth = ode_solution(lambda t, y: (np.sin(y) + 2.0) * np.cos(t), 0.5, x.grid.times)
         rel_sup = np.abs(rep.solution.values[:, 0] - truth).max() / np.abs(truth).max()
         assert rep.converged
@@ -690,7 +687,7 @@ class TestRoughSolver:
             p = VolterraProblem(
                 "rough", 0.5, sin_plus_field(), x, gamma=0.4, kappa=0.6, lift=xx, driver_meta=meta
             )
-            rep = solve_rough(p)
+            rep = solve(p)
             assert rep.converged
             assert rep.tolerance == DEFAULT_TOL_FBM
             solutions[n] = rep.solution.values[:, 0]
@@ -716,9 +713,6 @@ def make_problem(regime: str, n: int) -> VolterraProblem:
     return VolterraProblem("rough", 1.0, sin_plus_field(), x, gamma=0.5, kappa=0.5, lift=xx)
 
 
-SOLVERS = {"young": solve_young, "singular": solve_singular, "rough": solve_rough}
-
-
 def singular_sin_plus_problem() -> VolterraProblem:
     k = KernelSpec(alpha=0.25, psi=matrix_func("sin_plus", shift=1.0), gamma=1.0)
     return VolterraProblem("singular", 0.5, k, sine_driver(256))
@@ -737,19 +731,19 @@ OPERATOR_PROBLEMS = {"singular": singular_sin_plus_problem, "rough": rough_trig_
 class TestContinuationMechanics:
     def test_window_schedule_quarter_then_grow_capped(self):
         p = VolterraProblem("young", 1.0, linear_coefficient(1.0), sine_driver(1024), gamma=0.75, kappa=0.9)
-        rep = solve_young(p)
+        rep = solve(p)
         assert [w.end - w.start for w in rep.windows] == [256, 384, 384]
 
     def test_initial_window_is_respected(self):
         p = make_problem("young", 512)
-        rep = solve_young(p, initial_window=64)
+        rep = solve(p, initial_window=64)
         assert rep.windows[0].end - rep.windows[0].start == 64
 
     def test_initial_window_validation(self):
         p = make_problem("young", 64)
         for bad in (0, 65, -3):
             with pytest.raises(ValueError, match="initial window must lie"):
-                solve_young(p, initial_window=bad)
+                solve(p, initial_window=bad)
 
     @pytest.mark.parametrize("first", [1, 3, 64])
     @pytest.mark.parametrize("regime", ["young", "singular", "rough"])
@@ -757,8 +751,8 @@ class TestContinuationMechanics:
         # One sweep over every row writes the solution; the tiling only
         # partitions it for the report.
         p = make_problem(regime, 512)
-        a = SOLVERS[regime](p)
-        b = SOLVERS[regime](p, initial_window=first)
+        a = solve(p)
+        b = solve(p, initial_window=first)
         assert [w.end for w in a.windows] != [w.end for w in b.windows]
         assert np.array_equal(a.solution.values, b.solution.values)
         if regime == "rough":
@@ -768,26 +762,31 @@ class TestContinuationMechanics:
     @pytest.mark.parametrize("path", ["rows", "modes", "convolution"])
     def test_each_solve_sweeps_once(self, path, first, monkeypatch):
         steps = {"rows": solver._RowSums, "modes": solver._Convolution, "convolution": solver._Convolution}[path]
-        sweep, calls = steps.sweep, []
+        sweep, image, calls = steps.sweep, steps.image, []
 
         def counted(self):
-            calls.append(path)
+            calls.append("sweep")
             return sweep(self)
 
+        def imaged(self, end):
+            calls.append("image")
+            return image(self, end)
+
         monkeypatch.setattr(steps, "sweep", counted)
+        monkeypatch.setattr(steps, "image", imaged)
         p = make_problem("singular" if path == "convolution" else "rough", 256)
         if path == "rows":
             p = dataclasses.replace(p, coefficient=without_modes(p.coefficient))
         rep = solve(p, initial_window=first)
         assert rep.converged and len(rep.windows) >= 3
-        assert calls == [path]
+        assert calls == ["sweep", "image"]  # one image gives every window its residual
 
     def test_overflow_produces_partial_report(self):
         # An enormous linear field overflows float range a few cells in;
         # the solver reports the prefix it did fix and keeps the stored
         # solution finite via constant extension.
         p = VolterraProblem("young", 1.0, linear_coefficient(1e160), linear_driver(64), gamma=1.0, kappa=0.9)
-        rep = solve_young(p)
+        rep = solve(p)
         assert not rep.converged
         assert rep.solved_steps == 1
         assert rep.t_solved == pytest.approx(1.0 / 64.0)
@@ -825,7 +824,7 @@ class TestContinuationMechanics:
         for n in (1024, 2048):
             x = master.restrict(2048 // n)
             p = VolterraProblem("young", 1.0, sin_plus_field(), x, gamma=0.75, kappa=0.9, driver_meta=meta)
-            rep = solve_young(p)
+            rep = solve(p)
             assert rep.converged
             norms[n] = path_holder_norm(rep.solution, 0.75).value
         ratio = norms[2048] / norms[1024]
@@ -922,6 +921,31 @@ class TestReports:
         assert residuals[1] >= 1e-7
         assert residuals[0] < rep.tolerance
 
+    @pytest.mark.parametrize("regime", ["young", "singular", "rough"])
+    def test_row_residuals_do_not_depend_on_the_tiling(self, regime):
+        # Every window reads its residual off the solve's one image a + I(y),
+        # so a row's residual is the same whatever window holds it.  Here
+        # |y| <= 1, every window's scale is 1, and a default window's residual
+        # is the largest of the one-cell windows inside it, bit for bit.
+        n = 512
+        if regime == "young":
+            x = generate_fbm(FbmSpec(hurst=0.75, dim=1, grid=Grid(1.0, n), seed=7))
+            p = VolterraProblem("young", 0.25, trig_coefficient(amp=0.2), x, gamma=0.7, kappa=0.9)
+        elif regime == "singular":
+            k = KernelSpec(alpha=0.25, psi=matrix_func("sin_plus", shift=0.0), gamma=1.0)
+            p = VolterraProblem("singular", 0.25, k, sine_driver(n))
+        else:
+            fine = generate_fbm(FbmSpec(hurst=0.4, dim=2, grid=Grid(1.0, 2 * n), seed=99))
+            x, xx = lift_from_subgrid(fine, 2)
+            sigma = trig_coefficient(amp=0.5, t_freq=1.0, u_freq=0.5, d_dim=1, n_dim=2)
+            p = VolterraProblem("rough", 0.5, sigma, x, gamma=0.38, kappa=0.7, lift=xx)
+        tiled, cells = solve(p), solve(p, initial_window=1)
+        assert tiled.converged and np.abs(tiled.solution.values).max() <= 1.0
+        assert len(tiled.windows) == 3 and len(cells.windows) == n
+        for w in tiled.windows:
+            inside = [c.final_residual for c in cells.windows[w.start : w.end]]
+            assert w.final_residual == max(inside) < tiled.tolerance
+
     @pytest.mark.parametrize("rate", [-10.0, -40.0])
     def test_residual_is_relative_to_the_window_scale(self, rate):
         # A growing mode e^(-rate (t - u)) makes |y| reach 1e4 (rate -10) and
@@ -930,23 +954,23 @@ class TestReports:
         sigma = separable_coefficient(scalar_func("exp_decay", rate=rate), matrix_func("sin_plus", shift=1.0))
         g = Grid(1.0, 4096)
         p = VolterraProblem("young", 1.0, sigma, Path(g, np.sin(3 * g.times).reshape(-1, 1)), gamma=0.75, kappa=0.9)
-        rep = solve_young(p)
+        rep = solve(p)
         assert rep.converged and np.abs(rep.solution.values).max() > 1e4
         assert all(w.final_residual < rep.tolerance for w in rep.windows)  # measured <= 1.4e-13
 
     def test_default_tolerance_smooth_and_fbm(self):
         smooth = make_problem("young", 64)
-        assert solve_young(smooth).tolerance == DEFAULT_TOL_SMOOTH
+        assert solve(smooth).tolerance == DEFAULT_TOL_SMOOTH
         x = generate_fbm(FbmSpec(hurst=0.75, dim=1, grid=Grid(1.0, 64), seed=3))
         rough_meta = VolterraProblem(
             "young", 1.0, sin_plus_field(), x, gamma=0.75, kappa=0.9,
             driver_meta={"hurst": 0.75, "seed": 3},
         )
-        assert solve_young(rough_meta).tolerance == DEFAULT_TOL_FBM
+        assert solve(rough_meta).tolerance == DEFAULT_TOL_FBM
 
     def test_explicit_tolerance_is_echoed(self):
         p = make_problem("young", 64)
-        rep = solve_young(p, tol=1e-6)
+        rep = solve(p, tol=1e-6)
         assert rep.tolerance == 1e-6
 
     @pytest.mark.parametrize(
@@ -968,22 +992,15 @@ class TestReports:
             assert w.holder_norm == solver._segment_holder(times, y, w.start, w.end, exponent)
 
     def test_dispatch_matches_direct_solver(self):
+        # `solve` is the one entry point: a singular problem goes to the convolution core
         p = make_problem("singular", 128)
         via_dispatch = solve(p)
-        direct = solve_singular(p)
-        assert np.array_equal(via_dispatch.solution.values, direct.solution.values)
+        direct = np.tile(p.a, (p.grid.n_steps + 1, 1))
+        assert solver._Convolution(p, direct).sweep() is None
+        assert np.array_equal(via_dispatch.solution.values, direct)
         assert via_dispatch.regime == "singular"
-
-    @pytest.mark.parametrize(
-        "fn,wrong",
-        [(solve_young, "singular"), (solve_singular, "young"), (solve_rough, "young")],
-    )
-    def test_regime_mismatch_rejected(self, fn, wrong):
-        p = make_problem(wrong, 64)
-        with pytest.raises(ValueError, match=f"got a problem of regime '{wrong}'"):
-            fn(p)
 
     def test_tolerance_validation(self):
         p = make_problem("young", 64)
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            solve_young(p, tol=0.0)
+            solve(p, tol=0.0)
